@@ -96,8 +96,10 @@ def _write_out(text: str, path: str) -> None:
 
 def cmd_render(args) -> int:
     scheme = load_scheme(args.file)
+    # the document's settings carry its current projection
+    name = scheme.settings.projection if args.projection is None else args.projection
     try:
-        proj = geometry.projection_by_name(args.projection)
+        proj = geometry.projection_by_name(name)
     except KeyError as e:
         raise CliError(str(e.args[0]), EXIT_ARGS) from e
     slc = scheme.settings.slice  # the stored working-mode slice
@@ -236,13 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "render" and args.projection is None:
-        # scheme settings carry the current projection; resolve after load
-        try:
-            args.projection = load_scheme(args.file).settings.projection
-        except CliError as e:
-            print(str(e), file=sys.stderr)
-            return e.code
     try:
         return args.func(args)
     except CliError as e:

@@ -281,9 +281,8 @@ def coverage_intervals(scheme: Scheme, pipe_id: int) -> list[tuple[float, float]
     return merged
 
 
-def pipe_fully_covered(scheme: Scheme, pipe_id: int) -> bool:
-    spans = coverage_intervals(scheme, pipe_id)
-    length = model.pipe_length(scheme, pipe_id)
+def fully_covered(spans: list[tuple[float, float]], length: float) -> bool:
+    """True if ``coverage_intervals`` of a pipe of ``length`` cover all of it."""
     return len(spans) == 1 and spans[0][0] <= 0.0 and spans[0][1] >= length
 
 

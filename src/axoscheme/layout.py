@@ -256,13 +256,15 @@ def layout_pipes(scheme: Scheme, proj: Projection,
 
     for pid in sorted(sel.pipes):
         pipe = scheme.pipes[pid]
-        if model.pipe_length(scheme, pid) == 0.0:
+        length = model.pipe_length(scheme, pid)
+        if length == 0.0:
             continue
-        if geometry.pipe_fully_covered(scheme, pid) and not vis.covered_pipes:
+        covered = geometry.coverage_intervals(scheme, pid)
+        if geometry.fully_covered(covered, length) and not vis.covered_pipes:
             continue
         chain = _pipe_chain(scheme, proj, pid)
         cuts: list[tuple[float, float]] = []
-        for lo, hi in geometry.coverage_intervals(scheme, pid):
+        for lo, hi in covered:
             cuts.append((_nature_to_chain(chain, lo), _nature_to_chain(chain, hi)))
         for gpid, interval in gaps:
             if gpid == pid:

@@ -3,6 +3,7 @@ format (.asts); both carry parameters only and round-trip losslessly."""
 
 from .common import (
     BadMagicError,
+    CorruptError,
     DanglingIndexError,
     ParseError,
     PersistError,
@@ -15,6 +16,6 @@ from .text import load_text, save_text
 
 __all__ = [
     "PersistError", "BadMagicError", "TruncatedError", "VersionError",
-    "DanglingIndexError", "ParseError",
+    "CorruptError", "DanglingIndexError", "ParseError",
     "save_binary", "load_binary", "save_text", "load_text", "renumbered",
 ]

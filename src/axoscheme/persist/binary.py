@@ -28,6 +28,7 @@ from ..model import (
 )
 from .common import (
     BadMagicError,
+    CorruptError,
     DanglingIndexError,
     TruncatedError,
     VersionError,
@@ -132,6 +133,13 @@ class _W:
         return self.buf.getvalue()
 
 
+def _decode_enum(cls, code: int):
+    values = _ENUMS[cls]
+    if code >= len(values):
+        raise CorruptError(f"bad {cls.__name__} code {code}")
+    return values[code]
+
+
 class _R:
     def __init__(self, data: bytes):
         self.data = data
@@ -167,17 +175,21 @@ class _R:
             shift += 7
 
     def s(self) -> str:
-        return self.raw(self.varint()).decode("utf-8")
+        try:
+            return self.raw(self.varint()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptError(f"string is not UTF-8 ({e.reason})") from None
 
     def b(self) -> bool:
         return self.u8() != 0
 
     def enum(self, cls):
-        values = _ENUMS[cls]
-        idx = self.u8()
-        if idx >= len(values):
-            raise TruncatedError(f"bad {cls.__name__} code {idx}")
-        return values[idx]
+        return _decode_enum(cls, self.u8())
+
+    def opt_enum(self, cls):
+        """An enum stored as its code plus one, with 0 for None."""
+        code = self.u8()
+        return None if code == 0 else _decode_enum(cls, code - 1)
 
     def opt_id(self) -> int | None:
         v = self.u16()
@@ -653,8 +665,7 @@ def _r_offset(r: _R) -> model.Offset:
     ort = (r.f32(), r.f32(), r.f32())
     magnitude = r.f32()
     kind = r.enum(OffsetKind)
-    axis_code = r.u8()
-    axis = None if axis_code == 0 else _ENUMS[Axis][axis_code - 1]
+    axis = r.opt_enum(Axis)
     plane = r.f32()
     displaced = {r.u16() for _ in range(r.varint())}
     return model.Offset(letter, ort, magnitude, kind, axis, plane, displaced)
@@ -680,8 +691,7 @@ def _r_text(r: _R) -> model.Text:
     line_step = r.f32()
     color = r.u8()
     offset = (r.f32(), r.f32())
-    code = r.u8()
-    fmt = None if code == 0 else _ENUMS[SlopeFormat][code - 1]
+    fmt = r.opt_enum(SlopeFormat)
     return model.Text(lines, main, font, line_step, color, offset, fmt)
 
 

@@ -23,6 +23,10 @@ class VersionError(PersistError):
     pass
 
 
+class CorruptError(PersistError):
+    """Bytes that do not decode: malformed UTF-8 or an unknown enum code."""
+
+
 class DanglingIndexError(PersistError):
     pass
 

@@ -5,12 +5,16 @@ differently from the library implementation: the dimension oracle tests
 every candidate pair against each textual rule separately using exact
 integer arithmetic; the slice oracle re-reads the per-class membership
 rules; the occlusion oracle brute-forces all segment pairs with orientation
-predicates; the cascade oracle rescans every stored reference.
+predicates; the cascade oracle rescans every stored reference; the pair
+oracle tests every point pair and every pipe pair with the library's exact
+predicates, as the integrity check did before it filtered candidate pairs.
 """
 
 from fractions import Fraction
 
+from axoscheme import model
 from axoscheme.model import (
+    MERGE_EPS,
     Axis,
     DimDirection,
     DimPointKind,
@@ -18,6 +22,7 @@ from axoscheme.model import (
     Scheme,
     TargetKind,
 )
+from axoscheme.vectors import dist3
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
 
@@ -407,3 +412,28 @@ def oracle_dangling(scheme: Scheme) -> list[str]:
     for sid, sm in scheme.slope_marks.items():
         need(scheme.pipes, sm.pipe, f"slope {sid} pipe")
     return bad
+
+
+# -- all-pairs coincidence and overlap oracle -----------------------------------
+
+def oracle_pair_violations(scheme: Scheme) -> list[tuple[str, str, str]]:
+    """``point-coincident`` and ``pipe-overlap`` as (rule, subject, message),
+    from every point pair and every pipe pair in nested-loop order."""
+    out = []
+    pts = scheme.points
+    ids = list(pts)
+    for i, pid in enumerate(ids):
+        for qid in ids[i + 1:]:
+            if dist3(pts[pid].as_tuple(), pts[qid].as_tuple()) < MERGE_EPS:
+                out.append(("point-coincident", f"point:{qid}",
+                            f"coincides with point {pid}"))
+    pipe_ids = [pid for pid, p in scheme.pipes.items()
+                if p.start in pts and p.end in pts and p.start != p.end]
+    for i, pa in enumerate(pipe_ids):
+        a0, a1 = model.pipe_ends(scheme, pa)
+        for pb in pipe_ids[i + 1:]:
+            b0, b1 = model.pipe_ends(scheme, pb)
+            if model._segments_overlap(a0, a1, b0, b1):
+                out.append(("pipe-overlap", f"pipe:{pb}",
+                            f"collinear overlap with pipe {pa}"))
+    return out

@@ -1,6 +1,6 @@
 import pytest
 
-from axoscheme import persist, samples
+from axoscheme import cli, persist, samples
 from axoscheme.cli import main
 
 
@@ -58,6 +58,17 @@ def test_render_uses_scheme_projection_by_default(ref_file, tmp_path):
     assert out.exists()
 
 
+def test_render_loads_input_once(ref_file, tmp_path, monkeypatch):
+    loads = []
+    load = cli.load_scheme
+    monkeypatch.setattr(cli, "load_scheme", lambda path: loads.append(path) or load(path))
+    assert main(["render", str(ref_file), "-o", str(tmp_path / "a.svg")]) == 0
+    assert main(["render", str(ref_file), "-o", str(tmp_path / "b.svg"),
+                 "--projection", "isometric"]) == 0
+    assert loads == [str(ref_file)] * 2
+    assert (tmp_path / "a.svg").read_text() == (tmp_path / "b.svg").read_text()
+
+
 def test_spec_to_stdout(ref_file, capsys):
     assert main(["spec", str(ref_file), "--mode", "six"]) == 0
     out = capsys.readouterr().out
@@ -97,6 +108,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("scheme version=1\nwat id=1\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+
+def test_corrupt_binary_exit_code(tmp_path, capsys):
+    blob = persist.save_binary(samples.reference_scheme())
+    bad = tmp_path / "bad.astsb"
+    bad.write_bytes(blob.replace(b"valve", b"\xffalve", 1))
+    assert main(["validate", str(bad)]) == 3
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

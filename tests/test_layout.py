@@ -1,6 +1,6 @@
 import pytest
 
-from axoscheme import edit, geometry, layout, model
+from axoscheme import edit, geometry, layout, model, samples
 from axoscheme.layout import (
     ArcStroke,
     DotRun,
@@ -131,12 +131,22 @@ def test_covered_pipe_hidden_until_enabled():
     sym = s.insert("symbols", SymbolDef(
         "big", [SymbolSegment(-2, 0, 2, 0)], Attach.AXIAL, (10.0,)))
     edit.place_block(s, sym, pid, 50.0, updir=UpDir.ZP)
-    assert geometry.pipe_fully_covered(s, pid)
+    assert geometry.fully_covered(geometry.coverage_intervals(s, pid), 100.0)
     assert not [p for p in layout_pipes(s, ISO) if isinstance(p, Stroke)]
     s.settings.visibility.covered_pipes = True
     # drawn again, minus the coverage cut (everything is covered so only the
     # glyph-free strokes inside remain suppressed)
     assert layout_pipes(s, ISO) == []
+
+
+def test_coverage_computed_once_per_pipe(monkeypatch):
+    s = samples.reference_scheme()
+    calls = []
+    coverage = geometry.coverage_intervals
+    monkeypatch.setattr(geometry, "coverage_intervals",
+                        lambda scheme, pid: calls.append(pid) or coverage(scheme, pid))
+    layout_pipes(s, ISO)
+    assert sorted(calls) == sorted(s.pipes)
 
 
 def test_fillet_joint_arc():

@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from axoscheme import edit, model, samples
-from axoscheme.model import Axis, new_scheme
+from axoscheme.model import Axis, LineType, new_scheme
 from axoscheme.persist import (
     BadMagicError,
+    CorruptError,
     DanglingIndexError,
     ParseError,
+    PersistError,
     TruncatedError,
     VersionError,
     load_binary,
@@ -13,6 +17,7 @@ from axoscheme.persist import (
     save_binary,
     save_text,
 )
+from axoscheme.persist import binary
 from genschemes import random_scheme
 
 
@@ -82,6 +87,33 @@ def test_dangling_index_detected():
     patched[first_pipe + 2:first_pipe + 4] = (999).to_bytes(2, "little")
     with pytest.raises(DanglingIndexError):
         load_binary(bytes(patched))
+
+
+def test_corrupt_bytes_raise_persist_errors_only():
+    # only PersistError may escape; a changed byte may still load cleanly
+    for seed in range(100):
+        clean = save_binary(random_scheme(seed))
+        rng = random.Random(seed)
+        for _ in range(20):
+            mutated = bytearray(clean)
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            try:
+                load_binary(bytes(mutated))
+            except PersistError:
+                pass
+
+
+def test_corrupt_string_and_enum_codes():
+    blob = save_binary(samples.reference_scheme())
+    with pytest.raises(CorruptError):
+        load_binary(blob.replace(b"valve", b"\xffalve", 1))
+    with pytest.raises(CorruptError):
+        binary._R(bytes([len(LineType)])).enum(LineType)
+    # optional enums store code + 1, with 0 for none
+    assert binary._R(bytes([0])).opt_enum(Axis) is None
+    assert binary._R(bytes([3])).opt_enum(Axis) is Axis.Z
+    with pytest.raises(CorruptError):
+        binary._R(bytes([4])).opt_enum(Axis)
 
 
 def test_unknown_future_section_skipped():
