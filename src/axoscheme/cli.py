@@ -60,6 +60,8 @@ def save_scheme(scheme: Scheme, path: str) -> None:
                            EXIT_ARGS)
     except OSError as e:
         raise CliError(f"cannot write {path}: {e}", EXIT_IO) from e
+    except persist.PersistError as e:
+        raise CliError(f"{path}: {e}", EXIT_PARSE) from e
 
 
 def collect_violations(scheme: Scheme) -> list[str]:

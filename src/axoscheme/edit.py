@@ -13,7 +13,6 @@ from .model import (
     Attach,
     Axis,
     BreakLine,
-    DimPointKind,
     EditError,
     LineStyle,
     Offset,
@@ -220,6 +219,15 @@ def place_block(scheme: Scheme, symbol: int, pipe: int, dist: float,
 
 # -- cascade deletion ---------------------------------------------------------
 
+# Deleting an object takes along every object with a single reference to it
+# (required, optional or a dimension's direction pipe), and drops it from
+# id lists and sets.  Texts are not cascaded: a survival rule decides.
+_MEMBERS = tuple(ref for ref in model.REFERENCES
+                 if ref.shape in (model.RefShape.LIST, model.RefShape.SET))
+_CASCADE = tuple(ref for ref in model.REFERENCES
+                 if ref not in _MEMBERS and ref.collection != "texts")
+
+
 @dataclass
 class DeletionReport:
     points: set[int] = field(default_factory=set)
@@ -242,96 +250,64 @@ class DeletionReport:
 def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     """Delete a point and everything that transitively depends on it.
 
-    Pipes at the point go, then their joints, break lines and blocks; leaders
-    to removed targets (a text goes with its last leader); position marks on
-    removed targets (spec props go with their last mark); elevation and slope
-    marks on removed targets; dimension points from removed sources, taking
-    the whole dimension when fewer than two remain.  Afterwards the scheme
-    passes ``integrity_check``.
+    Every object whose single reference (required, optional or a dimension's
+    direction pipe) resolves into the deleted set goes too, transitively;
+    deleted ids are dropped from id lists and sets.  Four survival rules
+    settle the rest: a text goes with its last leader, else its main leader
+    moves to a surviving one; spec props go when no mark lists them; a local
+    offset goes with its last break; a dimension goes when fewer than two of
+    its points remain.  Afterwards the scheme passes ``integrity_check``.
     """
     scheme.point(point_id)
-    rep = DeletionReport(points={point_id})
+    gone: dict[str, set[int]] = {name: set() for name in model.COLLECTIONS}
+    gone["points"].add(point_id)
+    model.close_over_referrers(scheme, gone, _CASCADE)
 
-    rep.pipes = {pid for pid, p in scheme.pipes.items()
-                 if point_id in (p.start, p.end)}
-    rep.joints = {jid for jid, j in scheme.joints.items()
-                  if j.pipe_a in rep.pipes or j.pipe_b in rep.pipes}
-    rep.breaks = {bid for bid, b in scheme.breaks.items() if b.pipe in rep.pipes}
-    rep.blocks = {bid for bid, b in scheme.blocks.items()
-                  if b.pipe in rep.pipes
-                  or (b.pipe2 is not None and b.pipe2 in rep.pipes)
-                  or (b.pipe3 is not None and b.pipe3 in rep.pipes)}
-
-    rep.pipe_leaders = {lid for lid, ld in scheme.pipe_leaders.items()
-                        if ld.pipe in rep.pipes}
-    rep.block_leaders = {lid for lid, ld in scheme.block_leaders.items()
-                         if ld.block in rep.blocks}
-
-    # texts: drop with the last leader, else repair the main-leader reference
-    for tid, txt in list(scheme.texts.items()):
-        survivors = (
-            [(TargetKind.PIPE, lid) for lid, ld in scheme.pipe_leaders.items()
-             if ld.text == tid and lid not in rep.pipe_leaders]
-            + [(TargetKind.BLOCK, lid) for lid, ld in scheme.block_leaders.items()
-               if ld.text == tid and lid not in rep.block_leaders]
-        )
-        if not survivors:
-            rep.texts.add(tid)
-            continue
-        main_kind, main_id = txt.main_leader
-        main_gone = (main_kind is TargetKind.PIPE and main_id in rep.pipe_leaders) or (
-            main_kind is TargetKind.BLOCK and main_id in rep.block_leaders)
-        if main_gone:
-            txt.main_leader = survivors[0]
+    # 1. a text goes with its last leader, else keeps or moves its main leader
+    survivors: dict[int, list[tuple[TargetKind, int]]] = {}
+    lost: set[tuple[TargetKind, int]] = set()
+    for kind, name in model.LEADERS.items():
+        for lid, ld in getattr(scheme, name).items():
+            if lid in gone[name]:
+                lost.add((kind, lid))
+            else:
+                survivors.setdefault(ld.text, []).append((kind, lid))
+    for tid, txt in scheme.texts.items():
+        if tid not in survivors:
+            gone["texts"].add(tid)
+        elif txt.main_leader in lost:
+            txt.main_leader = survivors[tid][0]
             _fix_slope_format(scheme, tid, txt)
 
-    rep.position_marks = {
-        mid for mid, mark in scheme.position_marks.items()
-        if (mark.target_kind is TargetKind.PIPE and mark.target in rep.pipes)
-        or (mark.target_kind is TargetKind.BLOCK and mark.target in rep.blocks)
-    }
-    still_referenced: set[int] = set()
-    for mid, mark in scheme.position_marks.items():
-        if mid not in rep.position_marks:
-            still_referenced.update(mark.props)
-    rep.spec_props = set(scheme.spec_props) - still_referenced
+    # 2. spec props go when no mark lists them
+    listed = {ref for mid, mark in scheme.position_marks.items()
+              if mid not in gone["position_marks"] for ref in mark.props}
+    gone["spec_props"] = set(scheme.spec_props) - listed
 
-    rep.elevation_marks = {
-        eid for eid, mark in scheme.elevation_marks.items()
-        if (mark.target_kind is TargetKind.PIPE and mark.target in rep.pipes)
-        or (mark.target_kind is TargetKind.BLOCK and mark.target in rep.blocks)
-    }
-    rep.slope_marks = {sid for sid, mark in scheme.slope_marks.items()
-                       if mark.pipe in rep.pipes}
+    # 3. a local offset goes with its last break
+    cut = {b.offset for bid, b in scheme.breaks.items() if bid not in gone["breaks"]}
+    gone["offsets"] = {oid for oid, off in scheme.offsets.items()
+                       if off.kind is OffsetKind.LOCAL and oid not in cut}
 
-    for did, dim in list(scheme.dimensions.items()):
-        keep = [dp for dp in dim.points
-                if not (dp.kind is DimPointKind.POINT and dp.ref == point_id)
-                and not (dp.kind is DimPointKind.BLOCK and dp.ref in rep.blocks)]
-        dir_gone = dim.dim_dir.along_pipe and dim.dim_dir.pipe in rep.pipes
-        if len(keep) < 2 or dir_gone:
-            rep.dimensions.add(did)
-        else:
-            dim.points = keep
+    def kept(target: str, oid: int) -> int | None:
+        return None if oid in gone[target] else oid
 
-    # local offsets: prune the deleted point; drop offsets left without breaks
-    for oid, off in list(scheme.offsets.items()):
-        if off.kind is not OffsetKind.LOCAL:
-            continue
-        off.displaced_points.discard(point_id)
-        remaining = [b for bid, b in scheme.breaks.items()
-                     if b.offset == oid and bid not in rep.breaks]
-        if not remaining:
-            rep.offsets.add(oid)
+    for ref in _MEMBERS:
+        for obj in getattr(scheme, ref.collection).values():
+            if any(oid in gone[target] for target, oid in ref.ids(obj)):
+                setattr(obj, ref.field, ref.mapped(obj, kept))
 
-    for name in ("pipes", "joints", "breaks", "offsets", "blocks", "texts",
-                 "pipe_leaders", "block_leaders", "position_marks",
-                 "spec_props", "dimensions", "elevation_marks", "slope_marks"):
+    # 4. a dimension goes when fewer than two of its points remain
+    gone["dimensions"] |= {did for did, dim in scheme.dimensions.items()
+                           if len(dim.points) < 2}
+
+    # nothing refers to what the rules removed, so there is no further cascade
+    for name, ids in gone.items():
         store = getattr(scheme, name)
-        for oid in getattr(rep, name):
-            store.pop(oid, None)
-    del scheme.points[point_id]
+        for oid in ids:
+            del store[oid]
 
+    rep = DeletionReport(**{name: ids for name, ids in gone.items() if name != "symbols"})
     if scheme.settings.autonumber and rep.spec_props:
         rep.renumbered = renumber_positions(scheme)
     return rep

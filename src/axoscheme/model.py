@@ -620,6 +620,178 @@ def new_scheme() -> Scheme:
     return Scheme()
 
 
+# -- references ----------------------------------------------------------------
+#
+# Points are the only objects holding coordinates; everything else hangs off
+# them by id.  REFERENCES is the one list of fields that hold ids: renumbering,
+# the loaders' index check, the dangling-ref rule and the delete cascade are
+# all read from it.
+
+class RefShape(Enum):
+    REQUIRED = "required"    # one id
+    OPTIONAL = "optional"    # one id or None
+    LIST = "list"            # a list of ids
+    SET = "set"              # a set of ids
+    DIRECTION = "direction"  # a DimDirection, whose pipe is an optional id
+
+
+@dataclass(frozen=True)
+class Ref:
+    """Field ``field`` of the objects in ``collection`` holds ids of ``target``.
+
+    ``target`` is a collection name or a dict from kind to collection name.
+    With a dict, the kind is the owner's ``kind_field`` when that is given;
+    otherwise each stored value carries its own kind, as a ``(kind, id)``
+    tuple (a text's main leader) or as a ``DimPoint``.
+    """
+
+    collection: str
+    field: str
+    target: str | dict
+    shape: RefShape = RefShape.REQUIRED
+    kind_field: str | None = None
+    targets: tuple[str, ...] = field(init=False)  # every collection it may name
+    single: bool = field(init=False)  # one id, or None, of one fixed collection
+
+    def __post_init__(self):
+        fixed = isinstance(self.target, str)
+        targets = (self.target,) if fixed else tuple(self.target.values())
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "single", fixed and self.shape in (
+            RefShape.REQUIRED, RefShape.OPTIONAL))
+
+    def _split(self, obj, value) -> tuple[str, int]:
+        """(target collection, id) of one stored value."""
+        if isinstance(self.target, str):
+            return self.target, value
+        if self.kind_field is not None:
+            return self.target[getattr(obj, self.kind_field)], value
+        if isinstance(value, DimPoint):
+            return self.target[value.kind], value.ref
+        return self.target[value[0]], value[1]
+
+    def ids(self, obj) -> list[tuple[str, int]]:
+        """(target collection, id) of every id the field stores in ``obj``."""
+        value = getattr(obj, self.field)
+        if self.shape is RefShape.DIRECTION:
+            value = value.pipe
+        if self.shape is not RefShape.LIST and self.shape is not RefShape.SET:
+            value = () if value is None else (value,)
+        target = self.target
+        if self.kind_field is not None:
+            target = target[getattr(obj, self.kind_field)]
+        if isinstance(target, str):
+            return [(target, v) for v in value]
+        return [self._split(obj, v) for v in value]
+
+    def mapped(self, obj, fn):
+        """The field's value in ``obj`` with each id replaced by ``fn(target, id)``;
+        list and set members mapped to None are dropped."""
+        value = getattr(obj, self.field)
+        if value is None or self.single:
+            return None if value is None else fn(self.target, value)
+        if self.shape is RefShape.DIRECTION:
+            return value if value.pipe is None else DimDirection(
+                value.axis, fn(self.target, value.pipe))
+
+        def one(v):
+            new = fn(*self._split(obj, v))
+            if new is None or not isinstance(v, (DimPoint, tuple)):
+                return new
+            return DimPoint(v.kind, new) if isinstance(v, DimPoint) else (v[0], new)
+
+        if self.shape is RefShape.REQUIRED:
+            return one(value)
+        members = [m for m in map(one, value) if m is not None]
+        return set(members) if self.shape is RefShape.SET else members
+
+
+_ON_TARGET = {TargetKind.PIPE: "pipes", TargetKind.BLOCK: "blocks"}
+LEADERS = {TargetKind.PIPE: "pipe_leaders", TargetKind.BLOCK: "block_leaders"}
+
+REFERENCES = (
+    Ref("pipes", "start", "points"),
+    Ref("pipes", "end", "points"),
+    Ref("joints", "pipe_a", "pipes"),
+    Ref("joints", "pipe_b", "pipes"),
+    Ref("offsets", "displaced_points", "points", RefShape.SET),
+    Ref("breaks", "pipe", "pipes"),
+    Ref("breaks", "offset", "offsets"),
+    Ref("blocks", "symbol", "symbols"),
+    Ref("blocks", "pipe", "pipes"),
+    Ref("blocks", "pipe2", "pipes", RefShape.OPTIONAL),
+    Ref("blocks", "pipe3", "pipes", RefShape.OPTIONAL),
+    Ref("texts", "main_leader", LEADERS),
+    Ref("pipe_leaders", "text", "texts"),
+    Ref("pipe_leaders", "pipe", "pipes"),
+    Ref("block_leaders", "text", "texts"),
+    Ref("block_leaders", "block", "blocks"),
+    Ref("position_marks", "target", _ON_TARGET, kind_field="target_kind"),
+    Ref("position_marks", "props", "spec_props", RefShape.LIST),
+    Ref("dimensions", "points",
+        {DimPointKind.POINT: "points", DimPointKind.BLOCK: "blocks"}, RefShape.LIST),
+    Ref("dimensions", "dim_dir", "pipes", RefShape.DIRECTION),
+    Ref("elevation_marks", "target", _ON_TARGET, kind_field="target_kind"),
+    Ref("slope_marks", "pipe", "pipes"),
+)
+
+_REFS_OF = {name: [r for r in REFERENCES if r.collection == name] for name in COLLECTIONS}
+
+# subject prefix of each collection's objects in violations
+SUBJECTS = {name: name[:-1] for name in COLLECTIONS} | {
+    "position_marks": "mark", "spec_props": "props", "dimensions": "dim",
+    "elevation_marks": "elevation", "slope_marks": "slope"}
+
+
+def refs(collection: str, obj) -> list[tuple[str, str, int]]:
+    """Every (field, target collection, id) that ``obj`` of ``collection`` stores."""
+    return [(ref.field, *pair) for ref in _REFS_OF[collection] for pair in ref.ids(obj)]
+
+
+def with_ids(collection: str, obj, fn):
+    """Shallow copy of ``obj`` with each stored id replaced by ``fn(target, id)``."""
+    state = obj.__dict__.copy()
+    for ref in _REFS_OF[collection]:
+        state[ref.field] = ref.mapped(obj, fn)
+    return type(obj)(**state)
+
+
+def dangling_refs(scheme: Scheme):
+    """(collection, id, field, target, missing id) of every unresolved reference."""
+    for ref in REFERENCES:
+        for oid, obj in getattr(scheme, ref.collection).items():
+            if ref.single:  # the common case, without the general walk
+                rid = getattr(obj, ref.field)
+                if rid is None or rid in getattr(scheme, ref.target):
+                    continue
+            for target, rid in ref.ids(obj):
+                if rid not in getattr(scheme, target):
+                    yield ref.collection, oid, ref.field, target, rid
+
+
+def close_over_referrers(scheme: Scheme, found: dict[str, set[int]], rows) -> None:
+    """Add to ``found`` each object that refers through one of ``rows`` to an
+    object in ``found``, until no more do."""
+    again = True
+    while again:
+        again = False
+        for i, ref in enumerate(rows):
+            if not any(found[t] for t in ref.targets):
+                continue
+            owners = found[ref.collection]
+            before = len(owners)
+            items = getattr(scheme, ref.collection).items()
+            if ref.single:  # the common case, without the general walk
+                hit = found[ref.target]
+                owners.update(oid for oid, obj in items if getattr(obj, ref.field) in hit)
+            else:
+                owners.update(oid for oid, obj in items
+                              if any(rid in found[t] for t, rid in ref.ids(obj)))
+            # a row already passed may refer to the new owners
+            again |= len(owners) > before and any(
+                ref.collection in r.targets for r in rows[:i + 1])
+
+
 # -- pipe geometry helpers ------------------------------------------------
 
 def pipe_ends(scheme: Scheme, pipe_id: int) -> tuple[Vec3, Vec3]:
@@ -799,6 +971,20 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     pts = scheme.points
     pipes = scheme.pipes
 
+    # references: each missing id is reported once; an object broken by one,
+    # directly or through what it references, skips every check below
+    broken: dict[str, set[int]] = {name: set() for name in COLLECTIONS}
+    for name, oid, field_name, target, rid in dangling_refs(scheme):
+        _bad(out, "dangling-ref", f"{SUBJECTS[name]}:{oid}",
+             f"{field_name} references missing {target[:-1]} {rid}")
+        broken[name].add(oid)
+    if out:
+        close_over_referrers(scheme, broken, REFERENCES)
+
+    def intact(name: str) -> list:
+        return [(oid, obj) for oid, obj in getattr(scheme, name).items()
+                if oid not in broken[name]]
+
     # points: finite, pairwise distinct
     ids = list(pts)
     for pid in ids:
@@ -811,26 +997,20 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             _bad(out, "point-coincident", f"point:{ids[j]}",
                  f"coincides with point {ids[i]}")
 
-    # pipes
-    for pid, pipe in pipes.items():
+    # pipes; _segments_overlap rejects a zero-length pipe, so only pipes of
+    # nonzero length are paired
+    segs = []
+    for pid, pipe in intact("pipes"):
         sub = f"pipe:{pid}"
-        if pipe.start not in pts or pipe.end not in pts:
-            _bad(out, "dangling-ref", sub, "endpoint id does not resolve")
-            continue
         if pipe.start == pipe.end:
             _bad(out, "pipe-zero-length", sub, "start and end are the same point")
         elif dist3(pts[pipe.start].as_tuple(), pts[pipe.end].as_tuple()) < MERGE_EPS:
             _bad(out, "pipe-zero-length", sub, "endpoints coincide")
         _check_style(out, sub, pipe.style)
-    # _segments_overlap rejects a zero-length pipe, so only pipes of
-    # nonzero length are paired
-    segs = []
-    for pid, p in pipes.items():
-        if p.start in pts and p.end in pts:
-            a0, a1 = pipe_ends(scheme, pid)
-            length = norm3(sub3(a1, a0))
-            if length != 0.0:
-                segs.append((pid, a0, a1, length))
+        a0, a1 = pipe_ends(scheme, pid)
+        length = norm3(sub3(a1, a0))
+        if length != 0.0:
+            segs.append((pid, a0, a1, length))
     lmax = max((seg[3] for seg in segs if math.isfinite(seg[3])), default=0.0)
     boxes = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
     for i, j in _grid_pairs(boxes):
@@ -841,11 +1021,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # joints
     seen_pairs: dict[frozenset, int] = {}
-    for jid, joint in scheme.joints.items():
+    for jid, joint in intact("joints"):
         sub = f"joint:{jid}"
-        if joint.pipe_a not in pipes or joint.pipe_b not in pipes:
-            _bad(out, "dangling-ref", sub, "pipe id does not resolve")
-            continue
         if joint.pipe_a == joint.pipe_b:
             _bad(out, "joint-degenerate", sub, "joins a pipe with itself")
             continue
@@ -866,7 +1043,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # offsets
     letters: dict[str, int] = {}
-    for oid, off in scheme.offsets.items():
+    for oid, off in intact("offsets"):
         sub = f"offset:{oid}"
         if abs(norm3(off.ort) - 1.0) > 1e-9:
             _bad(out, "offset-ort", sub, "ort is not unit length")
@@ -885,17 +1062,10 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                 if abs(abs(dot3(off.ort, au)) - 1.0) > 1e-9:
                     _bad(out, "offset-general-axis", sub,
                          "ort must be the plane normal (either sign)")
-        else:
-            missing = [p for p in off.displaced_points if p not in pts]
-            if missing:
-                _bad(out, "dangling-ref", sub, f"displaced points {missing} do not resolve")
 
     # break lines
-    for bid, brk in scheme.breaks.items():
+    for bid, brk in intact("breaks"):
         sub = f"break:{bid}"
-        if brk.pipe not in pipes or brk.offset not in scheme.offsets:
-            _bad(out, "dangling-ref", sub, "pipe or offset id does not resolve")
-            continue
         off = scheme.offsets[brk.offset]
         if brk.glyph is BreakGlyph.WAVES and off.magnitude >= 0:
             _bad(out, "break-glyph", sub, "wave glyph allowed only for compression")
@@ -910,14 +1080,13 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             if not (0.0 <= brk.placement <= pipe_length(scheme, brk.pipe)):
                 _bad(out, "break-unaffected", sub, "break position outside the pipe")
 
-    # local offset cuts need break data, checked after breaks resolve
+    # local offset cuts walk the whole pipe graph and the offset's breaks
     from . import constraints  # deferred: constraints imports this module
 
-    for oid, off in scheme.offsets.items():
-        if off.kind is not OffsetKind.LOCAL:
+    cut_damaged = {scheme.breaks[bid].offset for bid in broken["breaks"]}
+    for oid, off in intact("offsets"):
+        if off.kind is not OffsetKind.LOCAL or broken["pipes"] or oid in cut_damaged:
             continue
-        if any(p not in pts for p in off.displaced_points):
-            continue  # already reported as dangling
         report = constraints.check_local_offset(scheme, oid)
         if report.verdict != "ok":
             _bad(out, "offset-local-cut", f"offset:{oid}", report.note)
@@ -936,11 +1105,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             _bad(out, "symbol-stretch", sub, "stretch ratio must be positive")
 
     # blocks
-    for bid, blk in scheme.blocks.items():
+    for bid, blk in intact("blocks"):
         sub = f"block:{bid}"
-        if blk.symbol not in scheme.symbols or blk.pipe not in pipes:
-            _bad(out, "dangling-ref", sub, "symbol or pipe id does not resolve")
-            continue
         sym = scheme.symbols[blk.symbol]
         needs2 = sym.attach in (Attach.ANGULAR, Attach.TEE)
         needs3 = sym.attach is Attach.TEE
@@ -949,15 +1115,12 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                  f"pipe2 must be present iff attach is angular/tee")
         if (blk.pipe3 is not None) != needs3:
             _bad(out, "block-pipes", sub, "pipe3 must be present iff attach is tee")
-        for ref in (blk.pipe2, blk.pipe3):
-            if ref is not None and ref not in pipes:
-                _bad(out, "dangling-ref", sub, f"attached pipe {ref} does not resolve")
         if not (0.0 <= blk.dist_from_start <= pipe_length(scheme, blk.pipe) + MERGE_EPS):
             _bad(out, "block-dist", sub, "attachment point outside the host pipe")
         else:
             anchor = pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
             for ref in (blk.pipe2, blk.pipe3):
-                if ref is None or ref not in pipes:
+                if ref is None:
                     continue
                 e0, e1 = pipe_ends(scheme, ref)
                 if min(dist3(anchor, e0), dist3(anchor, e1)) > MERGE_EPS:
@@ -980,27 +1143,19 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # texts and leaders
     leaders_by_text: dict[int, list[tuple[TargetKind, int]]] = {}
-    for lid, ld in scheme.pipe_leaders.items():
+    for lid, ld in intact("pipe_leaders"):
         sub = f"pipe_leader:{lid}"
-        if ld.text not in scheme.texts or ld.pipe not in pipes:
-            _bad(out, "dangling-ref", sub, "text or pipe id does not resolve")
-            continue
         leaders_by_text.setdefault(ld.text, []).append((TargetKind.PIPE, lid))
         if not (0.0 <= ld.t <= pipe_length(scheme, ld.pipe)):
             _bad(out, "leader-range", sub, "pipe coordinate outside the pipe")
-    for lid, ld in scheme.block_leaders.items():
+    for lid, ld in intact("block_leaders"):
         sub = f"block_leader:{lid}"
-        if ld.text not in scheme.texts or ld.block not in scheme.blocks:
-            _bad(out, "dangling-ref", sub, "text or block id does not resolve")
-            continue
         leaders_by_text.setdefault(ld.text, []).append((TargetKind.BLOCK, lid))
-        blk = scheme.blocks[ld.block]
-        if blk.symbol in scheme.symbols:
-            x0, y0, x1, y1 = symbol_bbox(scheme.symbols[blk.symbol])
-            ax, ay = ld.anchor
-            if not (x0 - 1e-9 <= ax <= x1 + 1e-9 and y0 - 1e-9 <= ay <= y1 + 1e-9):
-                _bad(out, "leader-anchor", sub, "anchor outside the symbol bounding box")
-    for tid, txt in scheme.texts.items():
+        x0, y0, x1, y1 = symbol_bbox(scheme.symbols[scheme.blocks[ld.block].symbol])
+        ax, ay = ld.anchor
+        if not (x0 - 1e-9 <= ax <= x1 + 1e-9 and y0 - 1e-9 <= ay <= y1 + 1e-9):
+            _bad(out, "leader-anchor", sub, "anchor outside the symbol bounding box")
+    for tid, txt in intact("texts"):
         sub = f"text:{tid}"
         mine = leaders_by_text.get(tid, [])
         if not mine:
@@ -1018,22 +1173,14 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         _check_font(out, sub, txt.font)
 
     # position marks
-    positions_in_use: set[int] = set()
-    for mid, mark in scheme.position_marks.items():
+    for mid, mark in intact("position_marks"):
         sub = f"mark:{mid}"
-        store = pipes if mark.target_kind is TargetKind.PIPE else scheme.blocks
-        if mark.target not in store:
-            _bad(out, "dangling-ref", sub, "target id does not resolve")
-        elif mark.target_kind is TargetKind.PIPE:
-            if not (0.0 <= mark.anchor_t <= pipe_length(scheme, mark.target)):
-                _bad(out, "leader-range", sub, "pipe coordinate outside the pipe")
+        if mark.target_kind is TargetKind.PIPE and not (
+            0.0 <= mark.anchor_t <= pipe_length(scheme, mark.target)
+        ):
+            _bad(out, "leader-range", sub, "pipe coordinate outside the pipe")
         if not (1 <= len(mark.props) <= 8):
             _bad(out, "mark-props", sub, "a mark carries 1..8 positions")
-        for ref in mark.props:
-            if ref not in scheme.spec_props:
-                _bad(out, "dangling-ref", sub, f"spec props {ref} does not resolve")
-            else:
-                positions_in_use.add(scheme.spec_props[ref].position)
         _check_font(out, sub, mark.font)
 
     # spec props
@@ -1059,22 +1206,13 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                  f"autonumbered positions must be exactly 1..{len(have)}, got {have}")
 
     # dimensions
-    for did, dim in scheme.dimensions.items():
+    for did, dim in intact("dimensions"):
         sub = f"dim:{did}"
         if len(dim.points) < 2:
             _bad(out, "dim-points", sub, "a dimension needs at least two points")
             continue
-        dangling = False
-        for dp in dim.points:
-            store = pts if dp.kind is DimPointKind.POINT else scheme.blocks
-            if dp.ref not in store:
-                _bad(out, "dangling-ref", sub, f"dim point {dp} does not resolve")
-                dangling = True
-        if dim.dim_dir.along_pipe and dim.dim_dir.pipe not in pipes:
-            _bad(out, "dangling-ref", sub, "dimension direction pipe does not resolve")
-            dangling = True
-        if dangling:
-            continue
+        if broken["pipes"]:
+            continue  # the orientation calculus scans every pipe
         legal = constraints.legal_dimension_orientations(scheme, dim.points)
         key = (dim.ext_axis, dim.dim_dir)
         if key not in legal:
@@ -1083,12 +1221,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                  " is not a legal orientation for these points")
 
     # elevation marks
-    for eid, mark in scheme.elevation_marks.items():
+    for eid, mark in intact("elevation_marks"):
         sub = f"elevation:{eid}"
-        store = pipes if mark.target_kind is TargetKind.PIPE else scheme.blocks
-        if mark.target not in store:
-            _bad(out, "dangling-ref", sub, "target id does not resolve")
-            continue
         if mark.target_kind is TargetKind.PIPE and not (
             0.0 <= mark.t <= pipe_length(scheme, mark.target)
         ):
@@ -1097,11 +1231,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             _bad(out, "elevation-axis", sub, "extension axis must be X or Y")
 
     # slope marks
-    for sid, mark in scheme.slope_marks.items():
+    for sid, mark in intact("slope_marks"):
         sub = f"slope:{sid}"
-        if mark.pipe not in pipes:
-            _bad(out, "dangling-ref", sub, "pipe id does not resolve")
-            continue
         if not (0.0 <= mark.t <= pipe_length(scheme, mark.pipe)):
             _bad(out, "leader-range", sub, "pipe coordinate outside the pipe")
         if mark.precision < 0:

@@ -9,7 +9,6 @@ from .common import (
     PersistError,
     TruncatedError,
     VersionError,
-    renumbered,
 )
 from .binary import load_binary, save_binary
 from .text import load_text, save_text
@@ -17,5 +16,5 @@ from .text import load_text, save_text
 __all__ = [
     "PersistError", "BadMagicError", "TruncatedError", "VersionError",
     "CorruptError", "DanglingIndexError", "ParseError",
-    "save_binary", "load_binary", "save_text", "load_text", "renumbered",
+    "save_binary", "load_binary", "save_text", "load_text",
 ]

@@ -29,9 +29,10 @@ from ..model import (
 from .common import (
     BadMagicError,
     CorruptError,
-    DanglingIndexError,
+    PersistError,
     TruncatedError,
     VersionError,
+    check_references,
     renumbered,
 )
 
@@ -87,17 +88,23 @@ class _W:
     def raw(self, b: bytes):
         self.buf.write(b)
 
+    def pack(self, fmt: str, kind: str, v):
+        try:
+            self.raw(struct.pack(fmt, v))
+        except (struct.error, OverflowError):
+            raise PersistError(f"{v!r} does not fit its {kind} field") from None
+
     def u8(self, v: int):
-        self.raw(struct.pack("<B", v))
+        self.pack("<B", "u8", v)
 
     def u16(self, v: int):
-        self.raw(struct.pack("<H", v))
+        self.pack("<H", "u16", v)
 
     def u32(self, v: int):
         self.raw(struct.pack("<I", v))
 
     def f32(self, v: float):
-        self.raw(struct.pack("<f", v))
+        self.pack("<f", "f32", v)
 
     def varint(self, v: int):
         while True:
@@ -654,7 +661,7 @@ def load_binary(data: bytes) -> Scheme:
         # unknown tags are future extensions: skipped
     if not seen_settings:
         raise TruncatedError("settings section missing")
-    _validate_indices(scheme)
+    check_references(scheme)
     scheme.next_ids = {name: len(getattr(scheme, name)) + 1
                        for name in model.COLLECTIONS if getattr(scheme, name)}
     return scheme
@@ -750,56 +757,3 @@ _SECTION_READERS = {
     SEC_SLOPES: ("slope_marks", lambda r: model.SlopeMark(
         r.u16(), r.f32(), r.f32(), r.enum(SlopeFormat), r.u8())),
 }
-
-
-def _validate_indices(scheme: Scheme) -> None:
-    def need(store_name: str, ref, context: str):
-        if ref is None:
-            return
-        if ref not in getattr(scheme, store_name):
-            raise DanglingIndexError(f"{context} references missing "
-                                     f"{store_name[:-1]} {ref}")
-
-    for pid, p in scheme.pipes.items():
-        need("points", p.start, f"pipe {pid}")
-        need("points", p.end, f"pipe {pid}")
-    for jid, j in scheme.joints.items():
-        need("pipes", j.pipe_a, f"joint {jid}")
-        need("pipes", j.pipe_b, f"joint {jid}")
-    for oid, off in scheme.offsets.items():
-        for ref in off.displaced_points:
-            need("points", ref, f"offset {oid}")
-    for bid, b in scheme.breaks.items():
-        need("pipes", b.pipe, f"break {bid}")
-        need("offsets", b.offset, f"break {bid}")
-    for bid, b in scheme.blocks.items():
-        need("symbols", b.symbol, f"block {bid}")
-        need("pipes", b.pipe, f"block {bid}")
-        need("pipes", b.pipe2, f"block {bid}")
-        need("pipes", b.pipe3, f"block {bid}")
-    for tid, t in scheme.texts.items():
-        kind, lid = t.main_leader
-        store = "pipe_leaders" if kind is TargetKind.PIPE else "block_leaders"
-        need(store, lid, f"text {tid}")
-    for lid, ld in scheme.pipe_leaders.items():
-        need("texts", ld.text, f"pipe leader {lid}")
-        need("pipes", ld.pipe, f"pipe leader {lid}")
-    for lid, ld in scheme.block_leaders.items():
-        need("texts", ld.text, f"block leader {lid}")
-        need("blocks", ld.block, f"block leader {lid}")
-    for mid, mk in scheme.position_marks.items():
-        store = "pipes" if mk.target_kind is TargetKind.PIPE else "blocks"
-        need(store, mk.target, f"mark {mid}")
-        for ref in mk.props:
-            need("spec_props", ref, f"mark {mid}")
-    for did, d in scheme.dimensions.items():
-        for dp in d.points:
-            store = "points" if dp.kind is DimPointKind.POINT else "blocks"
-            need(store, dp.ref, f"dimension {did}")
-        if d.dim_dir.along_pipe:
-            need("pipes", d.dim_dir.pipe, f"dimension {did}")
-    for eid, e in scheme.elevation_marks.items():
-        store = "pipes" if e.target_kind is TargetKind.PIPE else "blocks"
-        need(store, e.target, f"elevation {eid}")
-    for sid, sm in scheme.slope_marks.items():
-        need("pipes", sm.pipe, f"slope mark {sid}")

@@ -23,7 +23,7 @@ from ..model import (
     TargetKind,
     UpDir,
 )
-from .common import ParseError, q32, renumbered
+from .common import ParseError, PersistError, check_references, q32, renumbered
 
 FORMAT_VERSION = 1
 
@@ -150,6 +150,8 @@ def _float(ln: _Line, raw) -> float:
         return q32(float(raw))
     except (TypeError, ValueError):
         raise ParseError(f"{ln.kind}: bad number {raw!r}", ln.no) from None
+    except PersistError as e:
+        raise ParseError(f"{ln.kind}: {e}", ln.no) from None
 
 
 def _int(ln: _Line, raw) -> int:
@@ -473,9 +475,7 @@ def load_text(text: str) -> Scheme:
         ln.done()
     if not seen_version:
         raise ParseError("missing 'scheme version=...' record", 1)
-    from .binary import _validate_indices
-
-    _validate_indices(scheme)
+    check_references(scheme)
     scheme.next_ids = {name: max(getattr(scheme, name), default=0) + 1
                        for name in model.COLLECTIONS if getattr(scheme, name)}
     return scheme

@@ -118,6 +118,24 @@ def test_corrupt_binary_exit_code(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_number_beyond_f32_range_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.asts"
+    bad.write_text("scheme version=1\npoint id=1 x=1e39 y=0 z=0\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_convert_value_beyond_binary_field_exit_code(tmp_path, capsys):
+    s = samples.reference_scheme()
+    s.pipes[1].style.color = 300  # loads from text, does not fit a u8
+    wide = tmp_path / "wide.asts"
+    wide.write_text(persist.save_text(s), encoding="utf-8")
+    out = tmp_path / "x.astsb"
+    assert main(["convert", str(wide), "-o", str(out)]) == 3
+    assert "300" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "none.asts")]) == 4
 

@@ -10,6 +10,8 @@ from axoscheme.model import (
     integrity_check,
     new_scheme,
 )
+from genschemes import random_scheme
+from oracles import oracle_dangling
 
 
 def two_pipe_scheme():
@@ -32,6 +34,32 @@ def test_dangling_reference_reported():
     del s.points[c]
     rules = [v.rule for v in integrity_check(s)]
     assert "dangling-ref" in rules
+
+
+def test_break_on_a_deleted_pipe_is_reported_not_raised():
+    # break 1 of this scheme, a local offset's only break, sits on pipe 2
+    s = random_scheme(49)
+    del s.pipes[2]
+    violations = integrity_check(s)
+    assert ("dangling-ref", "break:1") in {(v.rule, v.subject) for v in violations}
+
+
+def test_deleting_any_object_reports_every_reference_left_dangling():
+    # integrity_check returns violations for whatever a deletion leaves
+    # behind and never raises; the oracle says whether anything referred to
+    # the deleted object
+    for seed in range(200):
+        s = random_scheme(seed)
+        for name in ("points", "pipes", "blocks", "texts", "offsets", "symbols"):
+            store = getattr(s, name)
+            whole = dict(store)
+            for oid in whole:
+                del store[oid]
+                rules = {v.rule for v in integrity_check(s)}
+                referred = any("->" in line for line in oracle_dangling(s))
+                assert ("dangling-ref" in rules) == referred, (seed, name, oid)
+                store.clear()
+                store.update(whole)
 
 
 def test_duplicate_joint_single_violation():

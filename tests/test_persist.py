@@ -89,6 +89,26 @@ def test_dangling_index_detected():
         load_binary(bytes(patched))
 
 
+def test_values_beyond_binary_fields_raise_persist_error():
+    s = small_scheme()
+    s.pipes[1].style.color = 300  # a u8 field
+    with pytest.raises(PersistError, match="300"):
+        save_binary(s)
+    s = small_scheme()
+    s.points[2].x = 1e39  # beyond the f32 range
+    for save in (save_binary, save_text):
+        with pytest.raises(PersistError):
+            save(s)
+
+
+def test_savers_reject_dangling_references():
+    s = small_scheme()
+    del s.points[3]
+    for save in (save_binary, save_text):
+        with pytest.raises(DanglingIndexError, match="references missing point 3"):
+            save(s)
+
+
 def test_corrupt_bytes_raise_persist_errors_only():
     # only PersistError may escape; a changed byte may still load cleanly
     for seed in range(100):
@@ -157,6 +177,20 @@ def test_unknown_record_kind_reports_line():
         load_text(doc)
     assert err.value.line == 2
     assert "bogus" in str(err.value)
+
+
+def test_number_beyond_f32_range_reports_line():
+    doc = "scheme version=1\npoint id=1 x=1e39 y=0 z=0\n"
+    with pytest.raises(ParseError) as err:
+        load_text(doc)
+    assert err.value.line == 2
+
+
+def test_text_reference_to_missing_object_rejected():
+    doc = ("scheme version=1\npoint id=1 x=0 y=0 z=0\n"
+           "pipe id=1 a=1 b=2 color=0 line=solid\n")
+    with pytest.raises(DanglingIndexError, match="pipe:1 end references missing point 2"):
+        load_text(doc)
 
 
 def test_unknown_key_rejected():
