@@ -66,8 +66,10 @@ def save_scheme(scheme: Scheme, path: str) -> None:
 
 def collect_violations(scheme: Scheme) -> list[str]:
     """Integrity plus every constraint check, as printable lines."""
-    out = [f"{v.rule} {v.subject}: {v.message}"
-           for v in model.integrity_check(scheme)]
+    violations = model.integrity_check(scheme)
+    out = [f"{v.rule} {v.subject}: {v.message}" for v in violations]
+    if any(v.rule == "dangling-ref" for v in violations):
+        return out  # offset legality scans every pipe and point
     for oid, off in scheme.offsets.items():
         if off.kind is OffsetKind.GENERAL and off.axis is not None:
             for rep in constraints.check_general_offset(scheme, oid):

@@ -220,10 +220,9 @@ def place_block(scheme: Scheme, symbol: int, pipe: int, dist: float,
 # -- cascade deletion ---------------------------------------------------------
 
 # Deleting an object takes along every object with a single reference to it
-# (required, optional or a dimension's direction pipe), and drops it from
-# id lists and sets.  Texts are not cascaded: a survival rule decides.
-_MEMBERS = tuple(ref for ref in model.REFERENCES
-                 if ref.shape in (model.RefShape.LIST, model.RefShape.SET))
+# (one id, or a dimension's direction pipe), and drops it from id lists and
+# sets.  Texts are not cascaded: a survival rule decides.
+_MEMBERS = tuple(ref for ref in model.REFERENCES if ref.shape in (list, set))
 _CASCADE = tuple(ref for ref in model.REFERENCES
                  if ref not in _MEMBERS and ref.collection != "texts")
 
@@ -250,8 +249,8 @@ class DeletionReport:
 def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     """Delete a point and everything that transitively depends on it.
 
-    Every object whose single reference (required, optional or a dimension's
-    direction pipe) resolves into the deleted set goes too, transitively;
+    Every object whose single reference (one id, or a dimension's direction
+    pipe) resolves into the deleted set goes too, transitively;
     deleted ids are dropped from id lists and sets.  Four survival rules
     settle the rest: a text goes with its last leader, else its main leader
     moves to a surviving one; spec props go when no mark lists them; a local

@@ -627,14 +627,6 @@ def new_scheme() -> Scheme:
 # the loaders' index check, the dangling-ref rule and the delete cascade are
 # all read from it.
 
-class RefShape(Enum):
-    REQUIRED = "required"    # one id
-    OPTIONAL = "optional"    # one id or None
-    LIST = "list"            # a list of ids
-    SET = "set"              # a set of ids
-    DIRECTION = "direction"  # a DimDirection, whose pipe is an optional id
-
-
 @dataclass(frozen=True)
 class Ref:
     """Field ``field`` of the objects in ``collection`` holds ids of ``target``.
@@ -642,23 +634,21 @@ class Ref:
     ``target`` is a collection name or a dict from kind to collection name.
     With a dict, the kind is the owner's ``kind_field`` when that is given;
     otherwise each stored value carries its own kind, as a ``(kind, id)``
-    tuple (a text's main leader) or as a ``DimPoint``.
+    tuple (a text's main leader) or as a ``DimPoint``.  ``shape`` is the
+    container of the ids: None for one id (or None), ``list``, ``set``, or
+    ``DimDirection``, whose pipe is one id (or None).
     """
 
     collection: str
     field: str
     target: str | dict
-    shape: RefShape = RefShape.REQUIRED
+    shape: type | None = None
     kind_field: str | None = None
-    targets: tuple[str, ...] = field(init=False)  # every collection it may name
-    single: bool = field(init=False)  # one id, or None, of one fixed collection
 
-    def __post_init__(self):
-        fixed = isinstance(self.target, str)
-        targets = (self.target,) if fixed else tuple(self.target.values())
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "single", fixed and self.shape in (
-            RefShape.REQUIRED, RefShape.OPTIONAL))
+    @property
+    def targets(self) -> tuple[str, ...]:
+        """Every collection the field may name."""
+        return (self.target,) if isinstance(self.target, str) else tuple(self.target.values())
 
     def _split(self, obj, value) -> tuple[str, int]:
         """(target collection, id) of one stored value."""
@@ -666,44 +656,33 @@ class Ref:
             return self.target, value
         if self.kind_field is not None:
             return self.target[getattr(obj, self.kind_field)], value
-        if isinstance(value, DimPoint):
-            return self.target[value.kind], value.ref
-        return self.target[value[0]], value[1]
+        kind, rid = (value.kind, value.ref) if isinstance(value, DimPoint) else value
+        return self.target[kind], rid
 
     def ids(self, obj) -> list[tuple[str, int]]:
         """(target collection, id) of every id the field stores in ``obj``."""
         value = getattr(obj, self.field)
-        if self.shape is RefShape.DIRECTION:
+        if self.shape is DimDirection:
             value = value.pipe
-        if self.shape is not RefShape.LIST and self.shape is not RefShape.SET:
-            value = () if value is None else (value,)
-        target = self.target
-        if self.kind_field is not None:
-            target = target[getattr(obj, self.kind_field)]
-        if isinstance(target, str):
-            return [(target, v) for v in value]
-        return [self._split(obj, v) for v in value]
+        elif self.shape is not None:  # a list or a set
+            return [self._split(obj, v) for v in value]
+        return [] if value is None else [self._split(obj, value)]
 
     def mapped(self, obj, fn):
         """The field's value in ``obj`` with each id replaced by ``fn(target, id)``;
         list and set members mapped to None are dropped."""
-        value = getattr(obj, self.field)
-        if value is None or self.single:
-            return None if value is None else fn(self.target, value)
-        if self.shape is RefShape.DIRECTION:
-            return value if value.pipe is None else DimDirection(
-                value.axis, fn(self.target, value.pipe))
-
         def one(v):
             new = fn(*self._split(obj, v))
-            if new is None or not isinstance(v, (DimPoint, tuple)):
+            if new is None or isinstance(v, int):
                 return new
             return DimPoint(v.kind, new) if isinstance(v, DimPoint) else (v[0], new)
 
-        if self.shape is RefShape.REQUIRED:
-            return one(value)
-        members = [m for m in map(one, value) if m is not None]
-        return set(members) if self.shape is RefShape.SET else members
+        value = getattr(obj, self.field)
+        if self.shape is list or self.shape is set:
+            return self.shape(m for m in map(one, value) if m is not None)
+        if self.shape is DimDirection:
+            return value if value.pipe is None else DimDirection(value.axis, one(value.pipe))
+        return None if value is None else one(value)
 
 
 _ON_TARGET = {TargetKind.PIPE: "pipes", TargetKind.BLOCK: "blocks"}
@@ -714,28 +693,26 @@ REFERENCES = (
     Ref("pipes", "end", "points"),
     Ref("joints", "pipe_a", "pipes"),
     Ref("joints", "pipe_b", "pipes"),
-    Ref("offsets", "displaced_points", "points", RefShape.SET),
+    Ref("offsets", "displaced_points", "points", set),
     Ref("breaks", "pipe", "pipes"),
     Ref("breaks", "offset", "offsets"),
     Ref("blocks", "symbol", "symbols"),
     Ref("blocks", "pipe", "pipes"),
-    Ref("blocks", "pipe2", "pipes", RefShape.OPTIONAL),
-    Ref("blocks", "pipe3", "pipes", RefShape.OPTIONAL),
+    Ref("blocks", "pipe2", "pipes"),
+    Ref("blocks", "pipe3", "pipes"),
     Ref("texts", "main_leader", LEADERS),
     Ref("pipe_leaders", "text", "texts"),
     Ref("pipe_leaders", "pipe", "pipes"),
     Ref("block_leaders", "text", "texts"),
     Ref("block_leaders", "block", "blocks"),
     Ref("position_marks", "target", _ON_TARGET, kind_field="target_kind"),
-    Ref("position_marks", "props", "spec_props", RefShape.LIST),
+    Ref("position_marks", "props", "spec_props", list),
     Ref("dimensions", "points",
-        {DimPointKind.POINT: "points", DimPointKind.BLOCK: "blocks"}, RefShape.LIST),
-    Ref("dimensions", "dim_dir", "pipes", RefShape.DIRECTION),
+        {DimPointKind.POINT: "points", DimPointKind.BLOCK: "blocks"}, list),
+    Ref("dimensions", "dim_dir", "pipes", DimDirection),
     Ref("elevation_marks", "target", _ON_TARGET, kind_field="target_kind"),
     Ref("slope_marks", "pipe", "pipes"),
 )
-
-_REFS_OF = {name: [r for r in REFERENCES if r.collection == name] for name in COLLECTIONS}
 
 # subject prefix of each collection's objects in violations
 SUBJECTS = {name: name[:-1] for name in COLLECTIONS} | {
@@ -743,27 +720,10 @@ SUBJECTS = {name: name[:-1] for name in COLLECTIONS} | {
     "elevation_marks": "elevation", "slope_marks": "slope"}
 
 
-def refs(collection: str, obj) -> list[tuple[str, str, int]]:
-    """Every (field, target collection, id) that ``obj`` of ``collection`` stores."""
-    return [(ref.field, *pair) for ref in _REFS_OF[collection] for pair in ref.ids(obj)]
-
-
-def with_ids(collection: str, obj, fn):
-    """Shallow copy of ``obj`` with each stored id replaced by ``fn(target, id)``."""
-    state = obj.__dict__.copy()
-    for ref in _REFS_OF[collection]:
-        state[ref.field] = ref.mapped(obj, fn)
-    return type(obj)(**state)
-
-
 def dangling_refs(scheme: Scheme):
     """(collection, id, field, target, missing id) of every unresolved reference."""
     for ref in REFERENCES:
         for oid, obj in getattr(scheme, ref.collection).items():
-            if ref.single:  # the common case, without the general walk
-                rid = getattr(obj, ref.field)
-                if rid is None or rid in getattr(scheme, ref.target):
-                    continue
             for target, rid in ref.ids(obj):
                 if rid not in getattr(scheme, target):
                     yield ref.collection, oid, ref.field, target, rid
@@ -781,12 +741,15 @@ def close_over_referrers(scheme: Scheme, found: dict[str, set[int]], rows) -> No
             owners = found[ref.collection]
             before = len(owners)
             items = getattr(scheme, ref.collection).items()
-            if ref.single:  # the common case, without the general walk
+            if ref.shape is None and isinstance(ref.target, str):
+                # one id of one collection, read without ids(): a delete scans
+                # every pipe twice, and an ids() call per object doubled the
+                # time of delete_point on documents of 20-150 pipes
                 hit = found[ref.target]
                 owners.update(oid for oid, obj in items if getattr(obj, ref.field) in hit)
             else:
-                owners.update(oid for oid, obj in items
-                              if any(rid in found[t] for t, rid in ref.ids(obj)))
+                hit = {(t, rid) for t in ref.targets for rid in found[t]}
+                owners.update(oid for oid, obj in items if not hit.isdisjoint(ref.ids(obj)))
             # a row already passed may refer to the new owners
             again |= len(owners) > before and any(
                 ref.collection in r.targets for r in rows[:i + 1])

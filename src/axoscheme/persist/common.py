@@ -63,11 +63,13 @@ def renumbered(scheme: Scheme) -> Scheme:
     maps = {name: {old: i for i, old in enumerate(getattr(scheme, name), 1)}
             for name in model.COLLECTIONS}
     out = Scheme(axis_grid=scheme.axis_grid, settings=scheme.settings)
+    for name in model.COLLECTIONS:
+        getattr(out, name).update(
+            (i, type(obj)(**vars(obj))) for i, obj in enumerate(getattr(scheme, name).values(), 1))
     try:
-        for name in model.COLLECTIONS:
-            getattr(out, name).update(
-                (i, model.with_ids(name, obj, lambda target, old: maps[target][old]))
-                for i, obj in enumerate(getattr(scheme, name).values(), 1))
+        for ref in model.REFERENCES:
+            for obj in getattr(out, ref.collection).values():
+                setattr(obj, ref.field, ref.mapped(obj, lambda target, old: maps[target][old]))
     except KeyError:
         check_references(scheme)
         raise

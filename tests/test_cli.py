@@ -2,6 +2,7 @@ import pytest
 
 from axoscheme import cli, persist, samples
 from axoscheme.cli import main
+from genschemes import random_scheme
 
 
 @pytest.fixture
@@ -180,3 +181,10 @@ def test_committed_corpus_file_validates(capsys):
     corpus = Path(__file__).parent / "data" / "reference40.asts"
     assert main(["validate", str(corpus)]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+def test_collect_violations_reports_dangling_reference():
+    scheme = random_scheme(0)
+    del scheme.points[1]
+    lines = cli.collect_violations(scheme)
+    assert any(line.startswith("dangling-ref ") for line in lines)

@@ -100,7 +100,8 @@ def check_every_slot(scheme):
     for name, subject in SUBJECT.items():
         for oid, obj in getattr(scheme, name).items():
             slots = list(id_slots(obj))
-            assert sorted((f, i) for f, _, i in model.refs(name, obj)) == sorted(
+            assert sorted((ref.field, i) for ref in model.REFERENCES
+                          if ref.collection == name for _, i in ref.ids(obj)) == sorted(
                 (f, i) for f, i, _ in slots)
             for field_name, _, swap in slots:
                 old = swap(UNUSED)
