@@ -32,6 +32,8 @@ def load_scheme(path: str) -> Scheme:
             text = p.read_text(encoding="utf-8")
         except OSError as e:
             raise CliError(f"cannot read {path}: {e}", EXIT_IO) from e
+        except UnicodeDecodeError as e:
+            raise CliError(f"{path}: not UTF-8 text: {e}", EXIT_PARSE) from e
         try:
             return persist.load_text(text)
         except persist.PersistError as e:
@@ -67,14 +69,12 @@ def save_scheme(scheme: Scheme, path: str) -> None:
 def collect_violations(scheme: Scheme) -> list[str]:
     """Integrity plus every constraint check, as printable lines."""
     violations = model.integrity_check(scheme)
-    out = [f"{v.rule} {v.subject}: {v.message}" for v in violations]
-    if any(v.rule == "dangling-ref" for v in violations):
-        return out  # offset legality scans every pipe and point
-    for oid, off in scheme.offsets.items():
-        if off.kind is OffsetKind.GENERAL and off.axis is not None:
-            for rep in constraints.check_general_offset(scheme, oid):
-                out.append(f"{rep.rule} {rep.subject}: {rep.note}")
-    return out
+    # offset legality scans every pipe and point, so it needs intact references
+    if not any(v.rule == "dangling-ref" for v in violations):
+        for oid, off in scheme.offsets.items():
+            if off.kind is OffsetKind.GENERAL and off.axis is not None:
+                violations += constraints.check_general_offset(scheme, oid)
+    return [str(v) for v in violations]
 
 
 def cmd_validate(args) -> int:

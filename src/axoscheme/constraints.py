@@ -1,14 +1,14 @@
-"""Compatibility calculus: pipe overlap, offset legality, dimension
+"""Legality calculus: pipe overlap, offset legality, dimension
 orientation legality and block orientation enumeration.
 
-Everything here is a pure function over a scheme snapshot.  Collinearity and
-coplanarity use a tolerance of 1e-6 relative to the point-set diameter;
-unit-vector parallelism uses an absolute 1e-9.
+Everything here is a pure function over a scheme snapshot; the checks return
+``model.Violation`` lists, empty when the subject is legal.  Which side of an
+offset a point or pipe position lies on is decided in ``geometry``.
+Collinearity and coplanarity use a tolerance of 1e-6 relative to the
+point-set diameter; unit-vector parallelism uses an absolute 1e-9.
 """
 
-from dataclasses import dataclass
-
-from . import model
+from . import geometry, model
 from .model import (
     Attach,
     Axis,
@@ -18,35 +18,17 @@ from .model import (
     OffsetKind,
     Scheme,
     UpDir,
+    Violation,
 )
 from .vectors import Vec3, cross3, dist3, dot3, mul3, norm3, sub3, unit3
 
 REL_TOL = 1e-6       # relative to point-set diameter
 PARALLEL_TOL = 1e-9  # for unit vectors
 
-OK = "ok"
-VIOLATION = "violation"
-
-
-@dataclass
-class LegalityReport:
-    subject: str
-    rule: str
-    verdict: str  # "ok" | "violation"
-    note: str = ""
-
-
-def _ok(subject: str, rule: str) -> LegalityReport:
-    return LegalityReport(subject, rule, OK)
-
-
-def _viol(subject: str, rule: str, note: str) -> LegalityReport:
-    return LegalityReport(subject, rule, VIOLATION, note)
-
 
 # -- pipe overlap -----------------------------------------------------------
 
-def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> LegalityReport:
+def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> list[Violation]:
     """Validate a candidate pipe between two existing points.
 
     A violation is reported for a zero-length candidate or for a collinear
@@ -57,80 +39,36 @@ def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> LegalityReport:
     b = scheme.point(end).as_tuple()
     subject = f"pipe:{start}-{end}"
     if start == end or dist3(a, b) < model.MERGE_EPS:
-        return _viol(subject, "pipe-zero-length", "zero-length pipes are forbidden")
+        return [Violation("pipe-zero-length", subject, "zero-length pipes are forbidden")]
     for pid in scheme.pipes:
         b0, b1 = model.pipe_ends(scheme, pid)
         if model._segments_overlap(a, b, b0, b1):
-            return _viol(subject, "pipe-overlap",
-                         f"collinear overlap with pipe {pid}")
-    return _ok(subject, "pipe-overlap")
+            return [Violation("pipe-overlap", subject, f"collinear overlap with pipe {pid}")]
+    return []
 
 
 # -- general offsets --------------------------------------------------------
 
-def _general_side(off, p: Vec3) -> bool:
-    """True when ``p`` is strictly on the displaced side of a general offset."""
-    sign = dot3(off.ort, off.axis.unit())
-    return (p[off.axis.index] - off.plane_coord) * sign > 0.0
-
-
-def offset_affects_point(scheme: Scheme, off, point_id: int) -> bool:
-    if off.kind is OffsetKind.GENERAL:
-        if off.axis is None:
-            return False
-        return _general_side(off, scheme.point(point_id).as_tuple())
-    return point_id in off.displaced_points
-
-
-def offset_affects_pipe_pos(scheme: Scheme, off, pipe_id: int, t: float) -> bool:
-    """Whether the offset displaces the point at arc length ``t`` on a pipe."""
-    if off.kind is OffsetKind.GENERAL:
-        if off.axis is None:
-            return False
-        return _general_side(off, model.pipe_point_at(scheme, pipe_id, t))
-    pipe = scheme.pipe(pipe_id)
-    brk = _local_break_on(scheme, off, pipe_id)
-    if brk is None:
-        return pipe.start in off.displaced_points
-    if t > brk.placement:
-        return pipe.end in off.displaced_points
-    return pipe.start in off.displaced_points
-
-
-def _local_break_on(scheme: Scheme, off, pipe_id: int):
-    for oid, brk in scheme.breaks.items():
-        if brk.pipe == pipe_id and scheme.offsets.get(brk.offset) is off:
-            return brk
-    return None
-
-
-def pipe_crosses_offset(scheme: Scheme, off, pipe_id: int) -> bool:
-    """A pipe is affected when its endpoints displace differently."""
-    pipe = scheme.pipe(pipe_id)
-    return (offset_affects_point(scheme, off, pipe.start)
-            != offset_affects_point(scheme, off, pipe.end))
-
-
-def check_general_offset(scheme: Scheme, offset_id: int) -> list[LegalityReport]:
+def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     """Check every pipe and dimension line crossed by a general offset plane.
 
     Crossing pipes and crossing dimension lines must run along the plane
     normal; crossing pipes must carry a break line of this offset.
     """
     off = scheme.offset(offset_id)
-    out: list[LegalityReport] = []
+    out: list[Violation] = []
     axis_u = off.axis.unit()
     broken = {b.pipe for b in scheme.breaks.values() if b.offset == offset_id}
     for pid in scheme.pipes:
-        if not pipe_crosses_offset(scheme, off, pid):
+        if not geometry.pipe_crosses_offset(scheme, off, pid):
             continue
         d = model.pipe_direction(scheme, pid)
         if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
-            out.append(_viol(f"pipe:{pid}", "offset-oblique-pipe",
-                             f"pipe crosses offset {off.letter!r} obliquely"))
+            out.append(Violation("offset-oblique-pipe", f"pipe:{pid}",
+                                 f"pipe crosses offset {off.letter!r} obliquely"))
         if pid not in broken:
-            out.append(_viol(f"pipe:{pid}", "offset-missing-break",
-                             f"crossing pipe lacks a break line of offset {off.letter!r}"))
+            out.append(Violation("offset-missing-break", f"pipe:{pid}",
+                                 f"crossing pipe lacks a break line of offset {off.letter!r}"))
     for did, dim in scheme.dimensions.items():
         flags = [_dim_point_affected(scheme, off, dp) for dp in dim.points]
         if not (any(flags) and not all(flags)):
@@ -140,40 +78,41 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[LegalityReport]
         else:
             d = dim.dim_dir.axis.unit()
         if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
-            out.append(_viol(f"dim:{did}", "offset-oblique-dimension",
-                             f"dimension line crosses offset {off.letter!r} obliquely"))
+            out.append(Violation("offset-oblique-dimension", f"dim:{did}",
+                                 f"dimension line crosses offset {off.letter!r} obliquely"))
     return out
 
 
 def _dim_point_affected(scheme: Scheme, off, dp: DimPoint) -> bool:
     if dp.kind is DimPointKind.POINT:
-        return offset_affects_point(scheme, off, dp.ref)
+        return geometry.offset_affects_point(scheme, off, dp.ref)
     blk = scheme.block(dp.ref)
-    return offset_affects_pipe_pos(scheme, off, blk.pipe, blk.dist_from_start)
+    return geometry.offset_affects_pipe_pos(scheme, off, blk.pipe, blk.dist_from_start)
 
 
 # -- local offsets ----------------------------------------------------------
 
-def check_local_offset(scheme: Scheme, offset_id: int) -> LegalityReport:
+def check_local_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     """Validate that a local offset's breaks form a clean graph cut.
 
     Removing the broken pipes must separate the displaced point set from its
     complement, with every break sitting on the boundary.
     """
     off = scheme.offset(offset_id)
-    subject = f"offset:{offset_id}"
-    rule = "offset-local-cut"
+
+    def cut_violation(message: str) -> list[Violation]:
+        return [Violation("offset-local-cut", f"offset:{offset_id}", message)]
+
     breaks = [b for b in scheme.breaks.values() if b.offset == offset_id]
     if not breaks:
-        return _viol(subject, rule, "local offset has no break lines (empty cut)")
+        return cut_violation("local offset has no break lines (empty cut)")
     broken_pipes = {b.pipe for b in breaks}
     displaced = off.displaced_points
 
     for b in breaks:
         pipe = scheme.pipe(b.pipe)
         if (pipe.start in displaced) == (pipe.end in displaced):
-            return _viol(subject, rule,
-                         f"break on pipe {b.pipe} does not lie on the cut boundary")
+            return cut_violation(f"break on pipe {b.pipe} does not lie on the cut boundary")
 
     # components of the point graph with the broken pipes removed
     adjacency: dict[int, list[int]] = {pid: [] for pid in scheme.points}
@@ -197,9 +136,8 @@ def check_local_offset(scheme: Scheme, offset_id: int) -> LegalityReport:
         seen |= comp
         inside = comp & displaced
         if inside and inside != comp:
-            return _viol(subject, rule,
-                         "a pipe joins the displaced and fixed sides without a break")
-    return _ok(subject, rule)
+            return cut_violation("a pipe joins the displaced and fixed sides without a break")
+    return []
 
 
 # -- dimension orientation legality ----------------------------------------
@@ -304,7 +242,7 @@ def legal_orientations_at(
     """
     def affected(off, i: int) -> bool:
         if off.kind is OffsetKind.GENERAL:
-            return _general_side(off, coords[i])
+            return geometry.general_side(off, coords[i])
         for pid in off.displaced_points:
             if dist3(scheme.point(pid).as_tuple(), coords[i]) < model.MERGE_EPS:
                 return True

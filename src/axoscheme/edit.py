@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from . import constraints, model
+from . import constraints, geometry, model
 from .model import (
     Attach,
     Axis,
@@ -23,6 +23,7 @@ from .model import (
     SlopeFormat,
     TargetKind,
     UpDir,
+    Violation,
 )
 from .vectors import Vec3, dist3, mul3
 
@@ -49,6 +50,11 @@ def next_offset_letter(scheme: Scheme) -> str:
     return offset_letter(n)
 
 
+def _rejected(problems: list[Violation]) -> EditError:
+    """The error refusing an edit that a legality check reports against."""
+    return EditError("; ".join(f"{v.rule}: {v.message}" for v in problems))
+
+
 # -- points and pipes --------------------------------------------------------
 
 def add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
@@ -62,9 +68,9 @@ def add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
 
 
 def add_pipe(scheme: Scheme, a: int, b: int, style: LineStyle | None = None) -> int:
-    report = constraints.check_pipe_overlap(scheme, a, b)
-    if report.verdict != constraints.OK:
-        raise EditError(f"{report.rule}: {report.note}")
+    problems = constraints.check_pipe_overlap(scheme, a, b)
+    if problems:
+        raise _rejected(problems)
     if style is None:
         st = scheme.settings.pipe_style
         style = LineStyle(st.color, st.line_type)
@@ -86,8 +92,7 @@ def move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> N
     problems = model.integrity_check(scheme)
     if problems:
         pt.x, pt.y, pt.z = old
-        raise EditError("; ".join(
-            f"{v.rule} {v.subject}: {v.message}" for v in problems[:3]))
+        raise EditError("; ".join(map(str, problems[:3])))
     for pid, pipe in scheme.pipes.items():
         if point_id in (pipe.start, pipe.end):
             sync_slope_texts(scheme, pid)
@@ -128,14 +133,14 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
             raise EditError("offset magnitude must be nonzero")
         oid = scheme.insert("offsets", off)
         for pid in scheme.pipes:
-            if constraints.pipe_crosses_offset(scheme, off, pid):
+            if geometry.pipe_crosses_offset(scheme, off, pid):
                 scheme.insert("breaks", BreakLine(
                     pid, oid, st.paper_len, 0.0,
                     st.label_shift_axial, st.label_shift_normal))
-        bad = constraints.check_general_offset(scheme, oid)
-        if bad:
+        problems = constraints.check_general_offset(scheme, oid)
+        if problems:
             _remove_offset(scheme, oid)
-            raise EditError("; ".join(f"{v.rule}: {v.note}" for v in bad))
+            raise _rejected(problems)
         return oid
 
     if spec.magnitude == 0.0:
@@ -150,10 +155,10 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
         scheme.insert("breaks", BreakLine(
             pipe, oid, st.paper_len, pos,
             st.label_shift_axial, st.label_shift_normal))
-    report = constraints.check_local_offset(scheme, oid)
-    if report.verdict != constraints.OK:
+    problems = constraints.check_local_offset(scheme, oid)
+    if problems:
         _remove_offset(scheme, oid)
-        raise EditError(f"{report.rule}: {report.note}")
+        raise _rejected(problems)
     return oid
 
 

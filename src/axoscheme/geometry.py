@@ -1,5 +1,5 @@
-"""Projection catalog, 3D->2D transform, offset application, height-layer
-slicing and occlusion-gap computation.
+"""Projection catalog, 3D->2D transform, offset sidedness and displacement,
+height-layer slicing and occlusion-gap computation.
 
 The catalog covers the thirteen standard axonometric projections, the six
 plain orthographic views, six extra oblique frontal projections receding
@@ -10,7 +10,7 @@ pinned numeric literals so output never depends on the platform's libm.
 from dataclasses import dataclass, field
 
 from . import model
-from .model import OffsetKind, Scheme, Slice
+from .model import BreakLine, OffsetKind, Scheme, Slice
 from .vectors import Vec2, Vec3, add3, cross3, dist2, dist3, dot3, mul3, norm3, unit3
 
 
@@ -138,19 +138,65 @@ def project_point(proj: Projection, p: Vec3) -> tuple[Vec2, float]:
 
 
 # -- offsets ----------------------------------------------------------------
+#
+# Offsets move points, and every drawn object follows the points it hangs
+# off: the side of an offset a point or pipe position is on, and where it
+# ends up, is decided here and nowhere else.
+
+def general_side(off, p: Vec3) -> bool:
+    """True when ``p`` is strictly on the displaced side of a general offset."""
+    sign = dot3(off.ort, off.axis.unit())
+    return (p[off.axis.index] - off.plane_coord) * sign > 0.0
+
+
+def break_on(scheme: Scheme, off, pipe_id: int) -> BreakLine | None:
+    """The break line of offset ``off`` on a pipe, or None."""
+    for brk in scheme.breaks.values():
+        if brk.pipe == pipe_id and scheme.offsets.get(brk.offset) is off:
+            return brk
+    return None
+
+
+def offset_affects_point(scheme: Scheme, off, point_id: int) -> bool:
+    if off.kind is OffsetKind.GENERAL:
+        if off.axis is None:
+            return False
+        return general_side(off, scheme.point(point_id).as_tuple())
+    return point_id in off.displaced_points
+
+
+def offset_affects_pipe_pos(scheme: Scheme, off, pipe_id: int, t: float) -> bool:
+    """Whether the offset displaces the point at arc length ``t`` on a pipe."""
+    if off.kind is OffsetKind.GENERAL:
+        if off.axis is None:
+            return False
+        return general_side(off, model.pipe_point_at(scheme, pipe_id, t))
+    pipe = scheme.pipe(pipe_id)
+    brk = break_on(scheme, off, pipe_id)
+    if brk is not None and t > brk.placement:
+        return pipe.end in off.displaced_points
+    return pipe.start in off.displaced_points
+
+
+def pipe_crosses_offset(scheme: Scheme, off, pipe_id: int) -> bool:
+    """A pipe is affected when its endpoints displace differently."""
+    pipe = scheme.pipe(pipe_id)
+    return (offset_affects_point(scheme, off, pipe.start)
+            != offset_affects_point(scheme, off, pipe.end))
+
+
+def point_displacement(scheme: Scheme, point_id: int) -> Vec3:
+    """Displacement vector of one point; offsets affecting it sum up."""
+    d = (0.0, 0.0, 0.0)
+    for off in scheme.offsets.values():
+        if offset_affects_point(scheme, off, point_id):
+            d = add3(d, mul3(off.ort, off.magnitude))
+    return d
+
 
 def point_displacements(scheme: Scheme) -> dict[int, Vec3]:
-    """Displacement vector per point id; offsets affecting a point sum up."""
-    from . import constraints
-
-    out: dict[int, Vec3] = {}
-    for pid in scheme.points:
-        d = (0.0, 0.0, 0.0)
-        for off in scheme.offsets.values():
-            if constraints.offset_affects_point(scheme, off, pid):
-                d = add3(d, mul3(off.ort, off.magnitude))
-        out[pid] = d
-    return out
+    """Displacement vector per point id."""
+    return {pid: point_displacement(scheme, pid) for pid in scheme.points}
 
 
 def apply_offsets(scheme: Scheme) -> dict[int, Vec3]:
@@ -163,11 +209,9 @@ def apply_offsets(scheme: Scheme) -> dict[int, Vec3]:
 
 def displacement_on_pipe(scheme: Scheme, pipe_id: int, t: float) -> Vec3:
     """Displacement of the point at arc length ``t`` on a pipe."""
-    from . import constraints
-
     d = (0.0, 0.0, 0.0)
     for off in scheme.offsets.values():
-        if constraints.offset_affects_pipe_pos(scheme, off, pipe_id, t):
+        if offset_affects_pipe_pos(scheme, off, pipe_id, t):
             d = add3(d, mul3(off.ort, off.magnitude))
     return d
 
@@ -183,13 +227,11 @@ def pipe_split_params(scheme: Scheme, pipe_id: int) -> list[tuple[float, int]]:
     General offsets split at the plane crossing, local offsets at their break
     position.  Sorted ascending; at most one entry per offset.
     """
-    from . import constraints
-
     a, b = model.pipe_ends(scheme, pipe_id)
     length = model.pipe_length(scheme, pipe_id)
     splits: list[tuple[float, int]] = []
     for oid, off in scheme.offsets.items():
-        if not constraints.pipe_crosses_offset(scheme, off, pipe_id):
+        if not pipe_crosses_offset(scheme, off, pipe_id):
             continue
         if off.kind is OffsetKind.GENERAL:
             denom = b[off.axis.index] - a[off.axis.index]
@@ -198,8 +240,7 @@ def pipe_split_params(scheme: Scheme, pipe_id: int) -> list[tuple[float, int]]:
             frac = (off.plane_coord - a[off.axis.index]) / denom
             splits.append((min(max(frac, 0.0), 1.0) * length, oid))
         else:
-            brk = next((x for x in scheme.breaks.values()
-                        if x.pipe == pipe_id and x.offset == oid), None)
+            brk = break_on(scheme, off, pipe_id)
             if brk is not None:
                 splits.append((brk.placement, oid))
     splits.sort()

@@ -142,8 +142,7 @@ def _axis_image(proj: Projection, axis: Axis) -> Vec2 | None:
 
 def _displaced_point_img(scheme: Scheme, proj: Projection, point_id: int) -> Vec2:
     p = scheme.point(point_id).as_tuple()
-    d = geometry.point_displacements(scheme).get(point_id, (0.0, 0.0, 0.0))
-    return _paper(scheme, proj, add3(p, d))
+    return _paper(scheme, proj, add3(p, geometry.point_displacement(scheme, point_id)))
 
 
 def _pipe_pos_img(scheme: Scheme, proj: Projection, pipe_id: int, t: float) -> Vec2:
@@ -276,8 +275,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
             if span.split_offset is None:
                 continue
             off = scheme.offsets[span.split_offset]
-            brk = next((b for b in scheme.breaks.values()
-                        if b.pipe == pid and b.offset == span.split_offset), None)
+            brk = geometry.break_on(scheme, off, pid)
             prev_end = chain.paper[i - 1][1]
             cur_start = chain.paper[i][0]
             if off.magnitude > 0:
@@ -364,7 +362,7 @@ def _compression_centre_img(scheme: Scheme, proj: Projection, pid: int,
     if off.kind is OffsetKind.GENERAL:
         q = add3(q, mul3(off.ort, brk.placement))
     # draw with the fixed side's displacement: the side not moved by this offset
-    before_aff = constraints.offset_affects_pipe_pos(
+    before_aff = geometry.offset_affects_pipe_pos(
         scheme, off, pid, max(0.0, t_split - 1e-7))
     fixed_t = (t_split - 1e-7) if not before_aff else (t_split + 1e-7)
     d = geometry.displacement_on_pipe(scheme, pid, max(0.0, fixed_t))
@@ -873,14 +871,6 @@ def _prim_points(p: Primitive):
         w = text_width(p.text, p.font)
         return (p.anchor, (p.anchor[0] + w, p.anchor[1] + p.font[1]))
     return (p.at,)
-
-
-def _prim_min_x(p: Primitive) -> float:
-    return min(q[0] for q in _prim_points(p))
-
-
-def _prim_min_y(p: Primitive) -> float:
-    return min(q[1] for q in _prim_points(p))
 
 
 def bounds(primitives) -> tuple[float, float, float, float] | None:

@@ -65,10 +65,6 @@ def dot2(a: Vec2, b: Vec2) -> float:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def cross2(a: Vec2, b: Vec2) -> float:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def norm2(a: Vec2) -> float:
     return math.hypot(a[0], a[1])
 

@@ -64,3 +64,35 @@ def build_rich_scheme():
         model.GridSettings())
     assert model.integrity_check(s) == []
     return s
+
+
+def build_offset_scheme():
+    """Offsets that move drawn objects: a compressing general offset drawn
+    with waves, a compressing local offset, a fillet at a displaced point and
+    chain dimensions across both offsets."""
+    s = model.new_scheme()
+    a = edit.add_point(s, 0, 0, 0)
+    b = edit.add_point(s, 2000, 0, 0)
+    c = edit.add_point(s, 4000, 0, 0)
+    d = edit.add_point(s, 4000, 0, 1500)
+    e = edit.add_point(s, 4000, 1500, 1500)
+    p1 = edit.add_pipe(s, a, b)
+    p2 = edit.add_pipe(s, b, c)
+    p3 = edit.add_pipe(s, c, d)
+    p4 = edit.add_pipe(s, d, e)
+    s.insert("joints", model.Joint(p2, p3, model.JointKind.FILLET, 120.0))
+    general = edit.add_offset(s, edit.GeneralOffsetSpec(Axis.X, 1000.0, -400.0))
+    brk = next(x for x in s.breaks.values() if x.offset == general)
+    brk.glyph = model.BreakGlyph.WAVES
+    brk.placement = -150.0
+    edit.add_offset(s, edit.LocalOffsetSpec((0.0, 1.0, 0.0), -300.0, [(p4, 700.0)], e))
+    assert [x.pipe for x in s.breaks.values()] == [p1, p4]
+    s.insert("dimensions", Dimension(
+        [DimPoint(DimPointKind.POINT, a), DimPoint(DimPointKind.POINT, b),
+         DimPoint(DimPointKind.POINT, c)],
+        Axis.Y, DimDirection(axis=Axis.X), line_offset=12.0))
+    s.insert("dimensions", Dimension(
+        [DimPoint(DimPointKind.POINT, d), DimPoint(DimPointKind.POINT, e)],
+        Axis.Z, DimDirection(axis=Axis.Y), line_offset=10.0))
+    assert model.integrity_check(s) == []
+    return s

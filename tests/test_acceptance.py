@@ -30,6 +30,7 @@ from oracles import (
     oracle_occlusion,
     oracle_slice,
 )
+from samples_for_tests import build_offset_scheme
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -435,6 +436,7 @@ GOLDENS = (
     ("straight_run", samples.golden_straight_run, "isometric"),
     ("tee_assembly", samples.golden_tee_assembly, "isometric"),
     ("axis_grid", samples.golden_axis_grid, "frontal-dimetric-45"),
+    ("offsets", build_offset_scheme, "isometric"),
 )
 
 
@@ -447,7 +449,7 @@ def test_criterion_11_golden_svg():
         assert first == second, f"{name}: two runs differ"
         golden = (GOLDEN_DIR / f"{name}.svg").read_text(encoding="utf-8")
         assert first == golden, f"{name}: output differs from the golden file"
-    report(11, "three curated schemes render byte-identically to the "
+    report(11, "four curated schemes render byte-identically to the "
                "reviewed golden files across two runs")
 
 

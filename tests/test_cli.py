@@ -111,6 +111,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_text_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.asts"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(bad)]) == 3
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_corrupt_binary_exit_code(tmp_path, capsys):
     blob = persist.save_binary(samples.reference_scheme())
     bad = tmp_path / "bad.astsb"

@@ -5,8 +5,6 @@ import pytest
 
 from axoscheme import edit, model
 from axoscheme.constraints import (
-    OK,
-    VIOLATION,
     check_general_offset,
     check_local_offset,
     check_pipe_overlap,
@@ -35,30 +33,33 @@ def scheme_with(points, pipes):
     return s, ids, pipe_ids
 
 
+def rules(violations):
+    return [v.rule for v in violations]
+
+
 # -- pipe overlap -------------------------------------------------------------
 
 def test_zero_length_pipe_rejected():
     s = new_scheme()
     a = edit.add_point(s, 0, 0, 0)
-    assert check_pipe_overlap(s, a, a).verdict == VIOLATION
+    assert rules(check_pipe_overlap(s, a, a)) == ["pipe-zero-length"]
 
 
 def test_collinear_overlap_rejected():
     # 1D interval oracle: [0,100] and [50,150] share 50 units of axis
     s, ids, _ = scheme_with([(0, 0, 0), (100, 0, 0), (50, 0, 0), (150, 0, 0)],
                             [(0, 1)])
-    report = check_pipe_overlap(s, ids[2], ids[3])
-    assert report.verdict == VIOLATION and report.rule == "pipe-overlap"
+    assert rules(check_pipe_overlap(s, ids[2], ids[3])) == ["pipe-overlap"]
 
 
 def test_shared_endpoint_is_fine():
     s, ids, _ = scheme_with([(0, 0, 0), (100, 0, 0), (0, 100, 0)], [(0, 1)])
-    assert check_pipe_overlap(s, ids[0], ids[2]).verdict == OK
+    assert check_pipe_overlap(s, ids[0], ids[2]) == []
 
 
 def test_touching_collinear_segments_are_fine():
     s, ids, _ = scheme_with([(0, 0, 0), (100, 0, 0), (200, 0, 0)], [(0, 1)])
-    assert check_pipe_overlap(s, ids[1], ids[2]).verdict == OK
+    assert check_pipe_overlap(s, ids[1], ids[2]) == []
 
 
 # -- general offsets -----------------------------------------------------------
@@ -105,7 +106,7 @@ def test_local_offset_clean_cut():
     s, ids, pipes = t_network()
     oid = edit.add_offset(s, edit.LocalOffsetSpec(
         (1.0, 0, 0), 300.0, [(pipes[0], 500.0)], displaced_seed=ids[1]))
-    assert check_local_offset(s, oid).verdict == OK
+    assert check_local_offset(s, oid) == []
     assert s.offsets[oid].displaced_points == {ids[1], ids[2], ids[3]}
 
 
@@ -114,14 +115,14 @@ def test_local_offset_mixed_sides_rejected():
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[0], ids[2]}))
     s.insert("breaks", BreakLine(pipes[0], off, 6.0, 500.0))
-    assert check_local_offset(s, off).verdict == VIOLATION
+    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
 
 
 def test_local_offset_without_breaks_rejected():
     s, ids, pipes = t_network()
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[2]}))
-    assert check_local_offset(s, off).verdict == VIOLATION
+    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
 
 
 def test_local_offset_separation_property():
@@ -174,7 +175,7 @@ def test_local_offset_unbroken_bridge_rejected():
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[1]}))
     s.insert("breaks", BreakLine(pipe_ids[0], off, 6.0, 500.0))
-    assert check_local_offset(s, off).verdict == VIOLATION
+    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
 
 
 # -- dimension orientation legality ---------------------------------------------

@@ -8,7 +8,7 @@ schemes; the mutations aim at the predicates' tolerance edges.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axoscheme import model, samples
@@ -102,9 +102,12 @@ def tiny_along_long(s, t, off, d, tiny_first):
 
 def near_parallel(s, k, shift, f0, f1):
     """A copy of a pipe shifted ``shift`` lengths along itself, its ends
-    ``f0`` and ``f1`` units of tolerance (1e-9 of its length) off its line."""
+    ``f0`` and ``f1`` units of tolerance (1e-9 of its length) off its line;
+    nothing when earlier mutations have put both ends on one spot."""
     a0, a1 = model.pipe_ends(s, _pick(s.pipes, k))
     length = norm3(sub3(a1, a0))
+    if length == 0.0:
+        return
     u = unit3(sub3(a1, a0))
     n = _normal(u)
     along = mul3(u, shift * length)
@@ -137,6 +140,9 @@ MUTATIONS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 199), st.lists(MUTATIONS, min_size=1, max_size=4))
+@example(seed=194, mutations=[(near_point, 1, 0, 1.5, (0.0, 0.0, 0.0)),
+                              (near_point, 1, 51, 1.5, (0.0, 0.0, 0.0)),
+                              (near_parallel, 1, -0.5, 0.0, 0.0)])
 def test_mutated_schemes_match_all_pairs(seed, mutations):
     s = random_scheme(seed)
     for fn, *args in mutations:
