@@ -89,7 +89,11 @@ def move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> N
         raise EditError("point coordinates must be finite")
     old = (pt.x, pt.y, pt.z)
     pt.x, pt.y, pt.z = x, y, z
-    problems = model.integrity_check(scheme)
+    try:
+        problems = model.integrity_check(scheme)
+    except BaseException:
+        pt.x, pt.y, pt.z = old
+        raise
     if problems:
         pt.x, pt.y, pt.z = old
         raise EditError("; ".join(map(str, problems[:3])))

@@ -54,6 +54,9 @@ CHAR_WIDTH_FACTOR = 0.6
 AXES_ICON_LEN = 12.0     # paper mm
 GRID_CIRCLE_R = 4.0      # paper mm
 ARC_STEP_DEG = 15.0      # block arc tessellation
+# The most dots one break dot run may draw; a run that needs more (a huge
+# scale or a tiny dot step) is a layout failure, so output stays bounded.
+MAX_DOTS_PER_RUN = 10_000
 
 
 def text_width(s: str, font: tuple) -> float:
@@ -94,6 +97,23 @@ class DotRun:
     p1: Vec2
     step: float
     color: int
+
+    def __post_init__(self):
+        self.whole_steps()  # a run over the dot budget is refused at layout
+
+    def whole_steps(self) -> int:
+        """Whole steps along the run: it draws ``whole_steps() + 1`` dots,
+        one every ``step`` from ``p0``, and one dot when the run or the step
+        is degenerate.  Raises LayoutError when that is over
+        MAX_DOTS_PER_RUN."""
+        length = math.hypot(self.p1[0] - self.p0[0], self.p1[1] - self.p0[1])
+        if length < 1e-12 or self.step <= 0.0:
+            return 0
+        n = length / self.step + 1e-9
+        if not n < MAX_DOTS_PER_RUN:
+            raise LayoutError(f"a break dot run of {length:g} mm at a {self.step:g} mm"
+                              f" step needs more than {MAX_DOTS_PER_RUN} dots")
+        return int(n)
 
 
 @dataclass(frozen=True)
@@ -180,25 +200,6 @@ def _block_to_paper(scheme: Scheme, proj: Projection, block_id: int):
 
 # -- pipes, joints, breaks ------------------------------------------------------
 
-@dataclass
-class _Chain:
-    """Paper-space drawn pipe: spans plus cumulative paper arc length."""
-
-    spans: list
-    paper: list[tuple[Vec2, Vec2]]
-    acc: list[float]  # len(spans) + 1 entries
-
-
-def _pipe_chain(scheme: Scheme, proj: Projection, pipe_id: int) -> _Chain:
-    spans = geometry.pipe_drawn_spans(scheme, proj, pipe_id)
-    s = scheme.settings.scale
-    paper = [((a.p0[0] * s, a.p0[1] * s), (a.p1[0] * s, a.p1[1] * s)) for a in spans]
-    acc = [0.0]
-    for p0, p1 in paper:
-        acc.append(acc[-1] + dist2(p0, p1))
-    return _Chain(spans, paper, acc)
-
-
 def _subtract(intervals: list[tuple[float, float]],
               cuts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     keep = intervals
@@ -216,7 +217,7 @@ def _subtract(intervals: list[tuple[float, float]],
     return [(a, b) for a, b in keep if b - a > 1e-9]
 
 
-def _span_point(chain: _Chain, i: int, s: float) -> Vec2:
+def _span_point(chain: geometry.DrawnChain, i: int, s: float) -> Vec2:
     p0, p1 = chain.paper[i]
     seg = chain.acc[i + 1] - chain.acc[i]
     f = 0.0 if seg == 0.0 else (s - chain.acc[i]) / seg
@@ -224,7 +225,7 @@ def _span_point(chain: _Chain, i: int, s: float) -> Vec2:
     return (p0[0] + (p1[0] - p0[0]) * f, p0[1] + (p1[1] - p0[1]) * f)
 
 
-def _nature_to_chain(chain: _Chain, t: float) -> float:
+def _nature_to_chain(chain: geometry.DrawnChain, t: float) -> float:
     """Map a nature arc length on the pipe to the paper chain parameter."""
     for i, span in enumerate(chain.spans):
         if t <= span.t1 or i == len(chain.spans) - 1:
@@ -241,33 +242,34 @@ def _centered_label(text: str, at: Vec2, font: tuple, color: int) -> GlyphText:
 
 
 def layout_pipes(scheme: Scheme, proj: Projection,
-                 selection: Selection | None = None,
-                 gaps: list[tuple[int, tuple[float, float]]] | None = None) -> list[Primitive]:
+                 selection: Selection | None = None) -> list[Primitive]:
     """Pipes as strokes minus block coverage and occlusion gaps, with break
-    glyphs (dot runs / wave pairs) and break letters; joint fillet arcs."""
+    glyphs (dot runs / wave pairs) and break letters; joint fillet arcs.
+
+    Each selected pipe's drawn chain is built once and read by occlusion and
+    drawing alike; block coverage comes from one walk over the blocks.
+    """
     sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
     vis = scheme.settings.visibility
     st = scheme.settings.breaks
-    if gaps is None:
-        gaps = geometry.occlusion_gaps(scheme, proj, include=sel.pipes)
+    chains = geometry.drawn_chains(scheme, proj, sorted(sel.pipes))
+    gaps: dict[int, list[tuple[float, float]]] = {}
+    for gpid, interval in geometry.chain_occlusion_gaps(scheme, proj, chains):
+        gaps.setdefault(gpid, []).append(interval)
+    coverage = geometry.block_coverage(scheme)
     out: list[Primitive] = []
     label_font = font_key(st.label_font)
 
-    for pid in sorted(sel.pipes):
+    for pid, chain in chains.items():
         pipe = scheme.pipes[pid]
+        covered = coverage.get(pid, [])
         length = model.pipe_length(scheme, pid)
-        if length == 0.0:
-            continue
-        covered = geometry.coverage_intervals(scheme, pid)
         if geometry.fully_covered(covered, length) and not vis.covered_pipes:
             continue
-        chain = _pipe_chain(scheme, proj, pid)
         cuts: list[tuple[float, float]] = []
         for lo, hi in covered:
             cuts.append((_nature_to_chain(chain, lo), _nature_to_chain(chain, hi)))
-        for gpid, interval in gaps:
-            if gpid == pid:
-                cuts.append(interval)
+        cuts.extend(gaps.get(pid, ()))
 
         glyphs: list[Primitive] = []
         letter_info: list[tuple] = []  # (letter, end1, end2, break line)
@@ -342,7 +344,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
     return out
 
 
-def _chain_dir(chain: _Chain, span_i: int) -> Vec2:
+def _chain_dir(chain: geometry.DrawnChain, span_i: int) -> Vec2:
     p0, p1 = chain.paper[span_i]
     if dist2(p0, p1) > 1e-9:
         return unit2(sub2(p1, p0))
@@ -817,11 +819,10 @@ def layout_scheme(scheme: Scheme, proj: Projection, slc: Slice | None = None) ->
     slc = slc if slc is not None else Slice()
     sel = geometry.slice_scheme(scheme, slc)
     vis = scheme.settings.visibility
-    gaps = geometry.occlusion_gaps(scheme, proj, include=sel.pipes)
     out: list[Primitive] = []
     if vis.grid and sel.grid:
         out.extend(layout_axis_grid(scheme, proj))
-    out.extend(layout_pipes(scheme, proj, sel, gaps))
+    out.extend(layout_pipes(scheme, proj, sel))
     if vis.blocks:
         out.extend(layout_blocks(scheme, proj, sel))
     if vis.dimensions:

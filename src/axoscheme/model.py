@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .vectors import Vec2, Vec3, cross3, dist3, dot3, lerp3, norm3, sub3, unit3
+from .vectors import Vec2, Vec3, cross3, dist3, dot3, grid_pairs, lerp3, norm3, sub3, unit3
 
 # Point coincidence tolerance, model mm: closer than this merges to one point.
 MERGE_EPS = 1e-6
@@ -847,11 +847,6 @@ def _segments_overlap(a0: Vec3, a1: Vec3, b0: Vec3, b1: Vec3) -> bool:
     return min(la, hi) - max(0.0, lo) > tol
 
 
-# A box that would be entered in more grid cells than this is paired with
-# every other box instead.
-_GRID_MAX_CELLS = 64
-
-
 def _pipe_margin(length: float, lmax: float) -> float:
     """Box margin for a pipe of ``length`` among pipes no longer than ``lmax``.
 
@@ -864,55 +859,6 @@ def _pipe_margin(length: float, lmax: float) -> float:
     return 4e-9 * lmax * (lmax / length + 1.0)
 
 
-def _grid_pairs(boxes: list[tuple[Vec3, Vec3, float]]) -> list[tuple[int, int]]:
-    """Sorted index pairs (i, j), i < j, of boxes that may touch.
-
-    Each box is ``(corner, opposite corner, margin)``: the axis-aligned box
-    spanned by two points, grown by ``margin`` on every side.  Boxes are
-    entered in a uniform grid whose cell is the median box size; two boxes
-    are a candidate pair when they share a cell.  Every pair of boxes that
-    touch is returned: box bounds are rounded outward, and a box that cannot
-    be entered (non-finite, or over ``_GRID_MAX_CELLS`` cells) is paired
-    with every other box.
-    """
-    bounds = []
-    for p, q, margin in boxes:
-        lo = tuple(math.nextafter(min(a, b) - margin, -math.inf) for a, b in zip(p, q))
-        hi = tuple(math.nextafter(max(a, b) + margin, math.inf) for a, b in zip(p, q))
-        bounds.append((lo, hi))
-    # outward rounding makes every finite box size positive
-    sizes = sorted(d for d in (max(h - l for l, h in zip(lo, hi)) for lo, hi in bounds)
-                   if math.isfinite(d))
-    cell = sizes[len(sizes) // 2] if sizes else 1.0
-
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    loose: list[int] = []
-    for i, (lo, hi) in enumerate(bounds):
-        scaled = [v / cell for v in lo + hi]
-        if not all(math.isfinite(v) for v in scaled):
-            loose.append(i)
-            continue
-        x0, y0, z0, x1, y1, z1 = map(math.floor, scaled)
-        if (x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1) > _GRID_MAX_CELLS:
-            loose.append(i)
-            continue
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                for z in range(z0, z1 + 1):
-                    grid.setdefault((x, y, z), []).append(i)
-
-    pairs: set[tuple[int, int]] = set()
-    for members in grid.values():
-        for k, i in enumerate(members):
-            for j in members[k + 1:]:
-                pairs.add((i, j))
-    for i in loose:
-        for j in range(len(boxes)):
-            if j != i:
-                pairs.add((min(i, j), max(i, j)))
-    return sorted(pairs)
-
-
 def integrity_check(scheme: Scheme) -> list[Violation]:
     """Validate referential integrity and every per-type invariant.
 
@@ -920,15 +866,15 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     exceptions, so a broken document can still be inspected.
 
     Point coincidence and pipe overlap test only the candidate pairs that
-    ``_grid_pairs`` returns, so they cost time linear in the number of
+    ``vectors.grid_pairs`` returns, so they cost time linear in the number of
     points, pipes and candidates rather than quadratic; where pipes are of
     comparable length a pipe has a bounded number of candidates (fewer than
     10 per pipe on a 600-pipe lattice).  The filter is conservative: every
     pair the exact predicates (``dist3 < MERGE_EPS``, ``_segments_overlap``)
     would accept is a candidate, on any input, so the violations and their
     order are those of testing every pair.  A box it cannot bucket (a
-    non-finite coordinate, or more than ``_GRID_MAX_CELLS`` cells) is paired
-    with every other box, which adds O(n) candidates per such box.
+    non-finite coordinate, or more than ``vectors.GRID_MAX_CELLS`` cells) is
+    paired with every other box, which adds O(n) candidates per such box.
     """
     out: list[Violation] = []
     pts = scheme.points
@@ -955,7 +901,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         if not all(math.isfinite(c) for c in p.as_tuple()):
             _bad(out, "point-finite", f"point:{pid}", "non-finite coordinate")
     coords = [pts[pid].as_tuple() for pid in ids]
-    for i, j in _grid_pairs([(c, c, MERGE_EPS) for c in coords]):
+    for i, j in grid_pairs([(c, c, MERGE_EPS) for c in coords]):
         if dist3(coords[i], coords[j]) < MERGE_EPS:
             _bad(out, "point-coincident", f"point:{ids[j]}",
                  f"coincides with point {ids[i]}")
@@ -976,7 +922,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             segs.append((pid, a0, a1, length))
     lmax = max((seg[3] for seg in segs if math.isfinite(seg[3])), default=0.0)
     boxes = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
-    for i, j in _grid_pairs(boxes):
+    for i, j in grid_pairs(boxes):
         (pa, a0, a1, _), (pb, b0, b1, _) = segs[i], segs[j]
         if _segments_overlap(a0, a1, b0, b1):
             _bad(out, "pipe-overlap", f"pipe:{pb}",
@@ -1094,7 +1040,11 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         if blk.stretch <= 0:
             _bad(out, "block-stretch", sub, "stretch ratio must be positive")
         _check_style(out, sub, blk.style)
-        if pipe_length(scheme, blk.pipe) > 0:
+        # a zero-length attached pipe has no direction to orient by; it is
+        # reported as pipe-zero-length above
+        attached_zero = any(pipe_length(scheme, ref) == 0.0
+                            for ref in (blk.pipe2, blk.pipe3) if ref is not None)
+        if pipe_length(scheme, blk.pipe) > 0 and not attached_zero:
             legal = constraints.enumerate_block_orientations(
                 scheme, blk.symbol, blk.pipe, blk.pipe2, blk.pipe3,
                 dist_from_start=blk.dist_from_start)

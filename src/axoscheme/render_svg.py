@@ -130,6 +130,7 @@ def _emit_arc(doc: _Doc, p: ArcStroke) -> None:
 
 
 def _emit_dot_run(doc: _Doc, p: DotRun) -> None:
+    n = p.whole_steps()
     length = math.hypot(p.p1[0] - p.p0[0], p.p1[1] - p.p0[1])
     color = _color(p.color)
     if length < 1e-12 or p.step <= 0.0:
@@ -138,7 +139,6 @@ def _emit_dot_run(doc: _Doc, p: DotRun) -> None:
         return
     ux = (p.p1[0] - p.p0[0]) / length
     uy = (p.p1[1] - p.p0[1]) / length
-    n = int(length / p.step + 1e-9)
     for i in range(n + 1):
         x, y = _xy((p.p0[0] + ux * p.step * i, p.p0[1] + uy * p.step * i))
         doc.circle(x, y, DOT_RADIUS, color)

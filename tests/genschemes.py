@@ -270,3 +270,19 @@ def random_scheme(seed: int, n_pipes: int | None = None,
         for sp in scheme.spec_props.values():
             sp.extended = model.ExtendedProps(unit_name="м")
     return scheme
+
+
+def lattice_scheme(n: int = 600) -> Scheme:
+    """``n`` pipes on a 6 x 6 x 6 lattice of corners 250 mm apart: the 540
+    axis edges, then face diagonals, and nothing else."""
+    s = model.new_scheme()
+    size = 6
+    corner = {(x, y, z): s.insert("points", model.Point3(CELL * x, CELL * y, CELL * z))
+              for x in range(size) for y in range(size) for z in range(size)}
+    for step in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]:
+        for (x, y, z), pid in corner.items():
+            other = corner.get((x + step[0], y + step[1], z + step[2]))
+            if other is not None and len(s.pipes) < n:
+                s.insert("pipes", model.Pipe(pid, other))
+    assert len(s.pipes) == n
+    return s

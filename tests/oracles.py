@@ -8,11 +8,16 @@ rules; the occlusion oracle brute-forces all segment pairs with orientation
 predicates; the cascade oracle rescans every stored reference; the pair
 oracle tests every point pair and every pipe pair with the library's exact
 predicates, as the integrity check did before it filtered candidate pairs.
+The all-pairs occlusion-gap and per-pipe coverage oracles are the drawing
+kernels as they were before occlusion filtered span pairs through a grid
+and coverage was gathered in one walk over the blocks; they must agree to
+the last bit.
 """
 
 from fractions import Fraction
 
 from axoscheme import model
+from axoscheme.geometry import DrawnSpan, _segment_crossing, pipe_drawn_spans
 from axoscheme.model import (
     MERGE_EPS,
     Axis,
@@ -22,7 +27,7 @@ from axoscheme.model import (
     Scheme,
     TargetKind,
 )
-from axoscheme.vectors import dist3
+from axoscheme.vectors import dist2, dist3, dot3
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
 
@@ -337,6 +342,100 @@ def oracle_occlusion(scheme: Scheme, proj):
             hits.append((victim, f * seg_len))
     hits.sort()
     return hits
+
+
+def oracle_occlusion_gaps(scheme: Scheme, proj,
+                          include: set[int] | None = None) -> list[tuple[int, tuple[float, float]]]:
+    """``geometry.occlusion_gaps`` testing every pair of drawn spans."""
+    if not scheme.settings.visibility.occlusion:
+        return []
+    scale = scheme.settings.scale
+    gap = scheme.settings.occlusion_gap_len
+
+    chains: dict[int, list[DrawnSpan]] = {}
+    offsets_paper: dict[int, list[float]] = {}
+    for pid in scheme.pipes:
+        if include is not None and pid not in include:
+            continue
+        if model.pipe_length(scheme, pid) == 0.0:
+            continue
+        spans = pipe_drawn_spans(scheme, proj, pid)
+        chains[pid] = spans
+        acc = [0.0]
+        for s in spans:
+            acc.append(acc[-1] + dist2(s.p0, s.p1) * scale)
+        offsets_paper[pid] = acc
+
+    def true_depth(pipe_id: int, span: DrawnSpan, s: float) -> float:
+        t = span.t0 + s * (span.t1 - span.t0)
+        p = model.pipe_point_at(scheme, pipe_id, t)
+        return dot3(p, proj.view_dir)
+
+    out: list[tuple[int, tuple[float, float]]] = []
+    ids = sorted(chains)
+    for i, pa in enumerate(ids):
+        for pb in ids[i + 1:]:
+            for ia, sa in enumerate(chains[pa]):
+                for ib, sb in enumerate(chains[pb]):
+                    hit = _segment_crossing(sa.p0, sa.p1, sb.p0, sb.p1)
+                    if hit is None:
+                        continue
+                    s, t = hit
+                    da = true_depth(pa, sa, s)
+                    db = true_depth(pb, sb, t)
+                    if abs(da - db) <= 1e-9:
+                        continue  # a true 3D meeting point: nothing hides
+                    if da < db:
+                        victim, vspan_i, vs = pa, ia, s
+                    else:
+                        victim, vspan_i, vs = pb, ib, t
+                    spans = chains[victim]
+                    span = spans[vspan_i]
+                    centre = offsets_paper[victim][vspan_i] + vs * dist2(span.p0, span.p1) * scale
+                    total = offsets_paper[victim][-1]
+                    lo = max(0.0, centre - gap / 2.0)
+                    hi = min(total, centre + gap / 2.0)
+                    out.append((victim, (lo, hi)))
+    out.sort(key=lambda g: (g[0], g[1]))
+    return out
+
+
+# -- per-pipe block coverage oracle ---------------------------------------------
+
+def oracle_coverage_intervals(scheme: Scheme, pipe_id: int) -> list[tuple[float, float]]:
+    """``geometry.coverage_intervals`` walking every block for one pipe."""
+    scale = scheme.settings.scale
+    length = model.pipe_length(scheme, pipe_id)
+    raw: list[tuple[float, float]] = []
+    for bid, blk in scheme.blocks.items():
+        sym = scheme.symbols.get(blk.symbol)
+        if sym is None:
+            continue
+        legs: list[tuple[int, float, float]] = [
+            (blk.pipe, blk.dist_from_start, sym.cut_lengths[0])]
+        anchor = model.block_anchor_point(scheme, bid)
+        for i, ref in enumerate((blk.pipe2, blk.pipe3), start=1):
+            if ref is None or i >= len(sym.cut_lengths) or ref not in scheme.pipes:
+                continue
+            e0, e1 = model.pipe_ends(scheme, ref)
+            at = 0.0 if dist3(anchor, e0) <= dist3(anchor, e1) else model.pipe_length(scheme, ref)
+            legs.append((ref, at, sym.cut_lengths[i]))
+        for leg_pipe, centre, cut_paper in legs:
+            if leg_pipe != pipe_id or cut_paper <= 0.0:
+                continue
+            half = cut_paper / scale * blk.stretch / 2.0
+            lo = max(0.0, centre - half)
+            hi = min(length, centre + half)
+            if hi > lo:
+                raw.append((lo, hi))
+    raw.sort()
+    merged: list[tuple[float, float]] = []
+    for lo, hi in raw:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 # -- cascade reachability oracle -----------------------------------------------

@@ -1,3 +1,7 @@
+import signal
+import time
+from pathlib import Path
+
 import pytest
 
 from axoscheme import cli, persist, samples
@@ -183,11 +187,40 @@ def test_spec_filter_overrides(ref_file, capsys):
 
 
 def test_committed_corpus_file_validates(capsys):
-    from pathlib import Path
-
     corpus = Path(__file__).parent / "data" / "reference40.asts"
     assert main(["validate", str(corpus)]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+@pytest.mark.parametrize("scale", ["6e6", "6e18"])
+def test_render_refuses_unbounded_dot_runs(scale, tmp_path, capsys):
+    """A scale that validates but would need billions of break dots is a
+    layout failure (exit 1) within seconds, not an endless render."""
+    corpus = Path(__file__).parent / "data" / "reference40.asts"
+    text = corpus.read_text(encoding="utf-8")
+    assert "scale=0.019999999552965164" in text
+    big = tmp_path / "big.asts"
+    big.write_text(text.replace("scale=0.019999999552965164", f"scale={scale}"),
+                   encoding="utf-8")
+    assert main(["validate", str(big)]) == 0
+    capsys.readouterr()
+
+    def overrun(signum, frame):
+        raise TimeoutError("render ran past its time bound")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        start = time.perf_counter()
+        code = main(["render", str(big), "-o", str(tmp_path / "big.svg")])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert "layout failure" in capsys.readouterr().err
+    assert not (tmp_path / "big.svg").exists()
+    assert elapsed < 5.0
 
 
 def test_collect_violations_reports_dangling_reference():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axoscheme import edit, model
+from axoscheme import edit, model, persist, samples
 from axoscheme.model import (
     Attach,
     Axis,
@@ -322,6 +322,48 @@ def test_move_point_rejects_breaking_dependents():
     assert s.points[b].x == 2000  # rolled back
     edit.move_point(s, b, 1900, 0, 0)  # still long enough: accepted
     assert s.points[b].x == 1900
+
+
+def test_move_point_onto_tee_leg_end_is_refused_unchanged():
+    """Collapsing the tee's third pipe is reported, not raised, and undone."""
+    s = samples.golden_tee_assembly()
+    before = persist.save_text(s)
+    with pytest.raises(EditError, match="pipe-zero-length pipe:3"):
+        edit.move_point(s, 2, 1500.0, 2000.0, 100.0)
+    assert persist.save_text(s) == before
+    assert integrity_check(s) == []
+
+
+@pytest.mark.parametrize("build", [samples.reference_scheme,
+                                   samples.golden_straight_run,
+                                   samples.golden_tee_assembly,
+                                   samples.golden_axis_grid])
+def test_move_point_onto_any_point_is_refused_unchanged(build):
+    """Moving a point onto another one always coincides: every such move
+    must end in EditError with the document unchanged, never an exception."""
+    s = build()
+    before = persist.save_text(s)
+    coords = {pid: s.points[pid].as_tuple() for pid in s.points}
+    for pid in coords:
+        for other, xyz in coords.items():
+            if other == pid:
+                continue
+            with pytest.raises(EditError):
+                edit.move_point(s, pid, *xyz)
+            assert persist.save_text(s) == before, (pid, other)
+
+
+def test_move_point_restores_the_point_when_the_check_raises(monkeypatch):
+    s = samples.golden_tee_assembly()
+    before = persist.save_text(s)
+
+    def broken(scheme):
+        raise ZeroDivisionError("check failed")
+
+    monkeypatch.setattr(model, "integrity_check", broken)
+    with pytest.raises(ZeroDivisionError):
+        edit.move_point(s, 2, 1500.0, 2000.0, 100.0)
+    assert persist.save_text(s) == before
 
 
 def test_cascade_main_reassignment_drops_slope_format():

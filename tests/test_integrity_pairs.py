@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from axoscheme import model, samples
 from axoscheme.model import MERGE_EPS, Pipe, Point3, integrity_check
 from axoscheme.vectors import add3, cross3, mul3, norm3, sub3, unit3
-from genschemes import random_scheme
+from genschemes import lattice_scheme, random_scheme
 from oracles import oracle_pair_violations
 
 PAIR_RULES = ("point-coincident", "pipe-overlap")
@@ -154,18 +154,8 @@ def test_mutated_schemes_match_all_pairs(seed, mutations):
 
 def test_overlap_candidates_linear_on_lattice(monkeypatch):
     """One check of a 600-pipe lattice tests fewer than 10 pairs per pipe."""
-    s = model.new_scheme()
     n = 600
-    size = 6  # 6 x 6 x 6 corners, 540 axis edges, the rest face diagonals
-    corner = {(x, y, z): _point(s, (250.0 * x, 250.0 * y, 250.0 * z))
-              for x in range(size) for y in range(size) for z in range(size)}
-    steps = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    for step in steps:
-        for (x, y, z), pid in corner.items():
-            other = corner.get((x + step[0], y + step[1], z + step[2]))
-            if other is not None and len(s.pipes) < n:
-                s.insert("pipes", Pipe(pid, other))
-    assert len(s.pipes) == n
+    s = lattice_scheme(n)
 
     calls = 0
     exact = model._segments_overlap

@@ -139,14 +139,35 @@ def test_covered_pipe_hidden_until_enabled():
     assert layout_pipes(s, ISO) == []
 
 
-def test_coverage_computed_once_per_pipe(monkeypatch):
+def test_layout_walks_blocks_for_coverage_once(monkeypatch):
+    """One layout gathers every pipe's coverage in a single walk over the
+    blocks (one anchor per block) and never asks pipe by pipe."""
     s = samples.reference_scheme()
-    calls = []
-    coverage = geometry.coverage_intervals
-    monkeypatch.setattr(geometry, "coverage_intervals",
-                        lambda scheme, pid: calls.append(pid) or coverage(scheme, pid))
-    layout_pipes(s, ISO)
-    assert sorted(calls) == sorted(s.pipes)
+    assert len(s.blocks) > 1
+    walks = []
+    anchors = 0
+    one_walk = geometry.block_coverage
+    anchor = model.block_anchor_point
+
+    def counted_anchor(scheme, bid):
+        nonlocal anchors
+        anchors += 1
+        return anchor(scheme, bid)
+
+    def counted_walk(scheme):
+        before = anchors
+        result = one_walk(scheme)
+        walks.append(anchors - before)
+        return result
+
+    def per_pipe(scheme, pid):
+        raise AssertionError("coverage asked pipe by pipe")
+
+    monkeypatch.setattr(model, "block_anchor_point", counted_anchor)
+    monkeypatch.setattr(geometry, "block_coverage", counted_walk)
+    monkeypatch.setattr(geometry, "coverage_intervals", per_pipe)
+    layout_scheme(s, ISO)
+    assert walks == [len(s.blocks)]
 
 
 def test_fillet_joint_arc():
