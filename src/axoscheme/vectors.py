@@ -126,14 +126,11 @@ def grid_pairs(boxes: list[tuple[tuple, tuple, float]]) -> list[tuple[int, int]]
         except (OverflowError, ValueError):  # an infinite or NaN bound
             loose.append(i)
             continue
-        if first == last:
-            grid.setdefault(first, []).append(i)
-            continue
-        ranges = [range(a, b + 1) for a, b in zip(first, last)]
-        if math.prod(map(len, ranges)) > GRID_MAX_CELLS:
+        # counted in Python ints: a box may span more cells than a range holds
+        if math.prod(b - a + 1 for a, b in zip(first, last)) > GRID_MAX_CELLS:
             loose.append(i)
             continue
-        for key in itertools.product(*ranges):
+        for key in itertools.product(*[range(a, b + 1) for a, b in zip(first, last)]):
             grid.setdefault(key, []).append(i)
 
     pairs: set[tuple[int, int]] = set()

@@ -223,6 +223,21 @@ def test_render_refuses_unbounded_dot_runs(scale, tmp_path, capsys):
     assert elapsed < 5.0
 
 
+
+def test_far_pipe_validates_and_renders(tmp_path, capsys):
+    """A pipe up to z=1e30 (a finite f32) is checked and drawn without a
+    traceback: the grids of validation and occlusion pair it with every box."""
+    corpus = Path(__file__).parent / "data" / "reference40.asts"
+    text = corpus.read_text(encoding="utf-8")
+    assert "\npoint id=1 " in text and "\npipe id=1 " in text
+    text = text.replace("\npoint id=1 ", "\npoint id=100 x=0.0 y=0.0 z=1e30\npoint id=1 ", 1)
+    text = text.replace("\npipe id=1 ", "\npipe id=100 a=1 b=100 color=0 line=solid\npipe id=1 ", 1)
+    far = tmp_path / "far.asts"
+    far.write_text(text, encoding="utf-8")
+    assert main(["validate", str(far)]) == 0
+    assert main(["render", str(far), "-o", str(tmp_path / "far.svg")]) == 0
+    assert (tmp_path / "far.svg").exists()
+
 def test_collect_violations_reports_dangling_reference():
     scheme = random_scheme(0)
     del scheme.points[1]

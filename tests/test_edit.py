@@ -353,6 +353,18 @@ def test_move_point_onto_any_point_is_refused_unchanged(build):
             assert persist.save_text(s) == before, (pid, other)
 
 
+
+@pytest.mark.parametrize("far", [1e30, -1e30])
+def test_move_point_far_away_is_an_edit_or_an_edit_error(far):
+    s = samples.golden_tee_assembly()
+    before = persist.save_text(s)
+    try:
+        edit.move_point(s, 2, far, 0.0, 0.0)
+    except EditError:
+        assert persist.save_text(s) == before
+    else:
+        assert s.points[2].as_tuple() == (far, 0.0, 0.0)
+
 def test_move_point_restores_the_point_when_the_check_raises(monkeypatch):
     s = samples.golden_tee_assembly()
     before = persist.save_text(s)

@@ -39,6 +39,18 @@ def test_sample_schemes_match_all_pairs(build):
     assert_same_as_all_pairs(build())
 
 
+
+@pytest.mark.parametrize("far", [1e30, -1e30, 3.4e38])
+def test_far_point_is_reported_not_raised(far):
+    """A point far enough out spans more grid cells than a range can count;
+    the check still returns its report."""
+    s = samples.golden_tee_assembly()
+    _point(s, (far, 0.0, 0.0))
+    pid = _point(s, (0.0, far, 0.0))
+    s.insert("pipes", Pipe(1, pid))
+    assert isinstance(integrity_check(s), list)
+    assert_same_as_all_pairs(s)
+
 # -- mutations -------------------------------------------------------------------
 
 def _point(s, c) -> int:
