@@ -15,7 +15,6 @@ from .model import (
     DimDirection,
     DimPoint,
     DimPointKind,
-    OffsetKind,
     Scheme,
     UpDir,
     Violation,
@@ -56,11 +55,12 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     normal; crossing pipes must carry a break line of this offset.
     """
     off = scheme.offset(offset_id)
+    side = geometry.OffsetSide(off)
     out: list[Violation] = []
     axis_u = off.axis.unit()
     broken = {b.pipe for b in scheme.breaks.values() if b.offset == offset_id}
-    for pid in scheme.pipes:
-        if not geometry.pipe_crosses_offset(scheme, off, pid):
+    for pid, pipe in scheme.pipes.items():
+        if not side.crosses(scheme, pipe):
             continue
         d = model.pipe_direction(scheme, pid)
         if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
@@ -70,7 +70,7 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
             out.append(Violation("offset-missing-break", f"pipe:{pid}",
                                  f"crossing pipe lacks a break line of offset {off.letter!r}"))
     for did, dim in scheme.dimensions.items():
-        flags = [_dim_point_affected(scheme, off, dp) for dp in dim.points]
+        flags = [_dim_point_affected(scheme, side, dp) for dp in dim.points]
         if not (any(flags) and not all(flags)):
             continue
         if dim.dim_dir.along_pipe:
@@ -83,11 +83,11 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     return out
 
 
-def _dim_point_affected(scheme: Scheme, off, dp: DimPoint) -> bool:
+def _dim_point_affected(scheme: Scheme, side: geometry.OffsetSide, dp: DimPoint) -> bool:
     if dp.kind is DimPointKind.POINT:
-        return geometry.offset_affects_point(scheme, off, dp.ref)
+        return side.affects_point(scheme, dp.ref)
     blk = scheme.block(dp.ref)
-    return geometry.offset_affects_pipe_pos(scheme, off, blk.pipe, blk.dist_from_start)
+    return geometry.offset_affects_pipe_pos(scheme, side.off, blk.pipe, blk.dist_from_start)
 
 
 # -- local offsets ----------------------------------------------------------
@@ -226,8 +226,8 @@ def legal_dimension_orientations(
         else:
             coords.append(model.block_anchor_point(scheme, dp.ref))
 
-    def affected(off, i: int) -> bool:
-        return _dim_point_affected(scheme, off, dim_points[i])
+    def affected(side, i: int) -> bool:
+        return _dim_point_affected(scheme, side, dim_points[i])
 
     return _orientations(scheme, coords, affected)
 
@@ -240,10 +240,10 @@ def legal_orientations_at(
     Local offsets are resolved through the nearest stored point; intended for
     schemes whose dimension points are plain spatial points.
     """
-    def affected(off, i: int) -> bool:
-        if off.kind is OffsetKind.GENERAL:
-            return geometry.general_side(off, coords[i])
-        for pid in off.displaced_points:
+    def affected(side, i: int) -> bool:
+        if not side.local:
+            return side.side(coords[i])
+        for pid in side.off.displaced_points:
             if dist3(scheme.point(pid).as_tuple(), coords[i]) < model.MERGE_EPS:
                 return True
         return False
@@ -267,16 +267,16 @@ def _orientations(scheme, coords, affected) -> set[tuple[Axis, DimDirection]]:
     line_u = _line_direction(coords, tol)
 
     # (f) offsets moving a strict subset must stay within the plane/axis
-    for off in scheme.offsets.values():
-        flags = [affected(off, i) for i in range(len(coords))]
+    for side in map(geometry.OffsetSide, scheme.offsets.values()):
+        flags = [affected(side, i) for i in range(len(coords))]
         if not (any(flags) and not all(flags)):
             continue
         if line_u is not None:
-            if norm3(cross3(off.ort, line_u)) > PARALLEL_TOL:
+            if norm3(cross3(side.off.ort, line_u)) > PARALLEL_TOL:
                 return empty
         else:
             normal = _plane_normal(coords, tol)
-            if normal is None or abs(dot3(off.ort, normal)) > PARALLEL_TOL:
+            if normal is None or abs(dot3(side.off.ort, normal)) > PARALLEL_TOL:
                 return empty
 
     if line_u is None:

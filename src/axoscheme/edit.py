@@ -136,8 +136,9 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
         if spec.magnitude == 0.0:
             raise EditError("offset magnitude must be nonzero")
         oid = scheme.insert("offsets", off)
-        for pid in scheme.pipes:
-            if geometry.pipe_crosses_offset(scheme, off, pid):
+        side = geometry.OffsetSide(off)
+        for pid, pipe in scheme.pipes.items():
+            if side.crosses(scheme, pipe):
                 scheme.insert("breaks", BreakLine(
                     pid, oid, st.paper_len, 0.0,
                     st.label_shift_axial, st.label_shift_normal))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import model
 from .model import BreakLine, OffsetKind, Scheme, Slice
-from .vectors import Vec2, Vec3, add3, cross3, dist2, dist3, dot3, grid_pairs, mul3, norm3, unit3
+from .vectors import Vec2, Vec3, add3, along3, cross3, dist2, dist3, dot3, grid_pairs, mul3, norm3, unit3
 
 
 @dataclass(frozen=True)
@@ -142,62 +142,101 @@ def project_point(proj: Projection, p: Vec3) -> tuple[Vec2, float]:
 #
 # Offsets move points, and every drawn object follows the points it hangs
 # off: the side of an offset a point or pipe position is on, and where it
-# ends up, is decided here and nowhere else.
+# ends up, is decided here and nowhere else, by ``OffsetSide``.  A layout
+# resolves every offset once in an ``OffsetView``, so a query there is dict
+# lookups plus arithmetic; a query on a bare scheme uses the same code.
 
-def general_side(off, p: Vec3) -> bool:
-    """True when ``p`` is strictly on the displaced side of a general offset."""
-    sign = dot3(off.ort, off.axis.unit())
-    return (p[off.axis.index] - off.plane_coord) * sign > 0.0
+class OffsetSide:
+    """One offset's sidedness data, resolved once.
+
+    ``disp`` is the displacement the offset adds; a general offset with a
+    plane axis keeps that axis' coordinate index, the plane coordinate and
+    the sign of ``ort`` along the axis.  ``index`` is None for a local
+    offset and for a general offset without an axis, which moves nothing.
+    """
+
+    __slots__ = ("off", "disp", "local", "index", "plane", "sign")
+
+    def __init__(self, off):
+        self.off = off
+        self.disp = mul3(off.ort, off.magnitude)
+        self.local = off.kind is OffsetKind.LOCAL
+        self.index = None
+        if not self.local and off.axis is not None:
+            self.index = off.axis.index
+            self.plane = off.plane_coord
+            self.sign = dot3(off.ort, off.axis.unit())
+
+    def side(self, p: Vec3) -> bool:
+        """True when ``p`` is strictly on the displaced side of the plane."""
+        return (p[self.index] - self.plane) * self.sign > 0.0
+
+    def affects_point(self, scheme: Scheme, point_id: int) -> bool:
+        if self.local:
+            return point_id in self.off.displaced_points
+        return self.index is not None and self.side(scheme.point(point_id).as_tuple())
+
+    def affects_pipe_pos(self, pipe, brk: BreakLine | None, t: float, p: Vec3) -> bool:
+        """Whether the point ``p`` at arc length ``t`` on ``pipe`` moves;
+        ``brk`` is this offset's break line on the pipe, or None."""
+        if self.local:
+            if brk is not None and t > brk.placement:
+                return pipe.end in self.off.displaced_points
+            return pipe.start in self.off.displaced_points
+        return self.index is not None and self.side(p)
+
+    def crosses(self, scheme: Scheme, pipe) -> bool:
+        """A pipe crosses the offset when its endpoints displace differently."""
+        return self.affects_point(scheme, pipe.start) != self.affects_point(scheme, pipe.end)
+
+    def split_at(self, a: Vec3, b: Vec3, length: float,
+                 brk: BreakLine | None) -> float | None:
+        """Arc length where this offset breaks a pipe from ``a`` to ``b``
+        that it crosses: the plane crossing, or the break position."""
+        if self.local:
+            return None if brk is None else brk.placement
+        denom = b[self.index] - a[self.index]
+        if denom == 0.0:
+            return None
+        frac = (self.plane - a[self.index]) / denom
+        return min(max(frac, 0.0), 1.0) * length
 
 
 def break_on(scheme: Scheme, off, pipe_id: int) -> BreakLine | None:
-    """The break line of offset ``off`` on a pipe, or None."""
+    """The break line of offset ``off`` on a pipe, or None (one scan of the
+    break lines; a layout reads ``break_index`` instead)."""
     for brk in scheme.breaks.values():
         if brk.pipe == pipe_id and scheme.offsets.get(brk.offset) is off:
             return brk
     return None
 
 
-def offset_affects_point(scheme: Scheme, off, point_id: int) -> bool:
-    if off.kind is OffsetKind.GENERAL:
-        if off.axis is None:
-            return False
-        return general_side(off, scheme.point(point_id).as_tuple())
-    return point_id in off.displaced_points
+def break_index(scheme: Scheme) -> dict[tuple[int, int], BreakLine]:
+    """The break line per (offset id, pipe id); the first in ``scheme.breaks``
+    order, as ``break_on`` finds it."""
+    index: dict[tuple[int, int], BreakLine] = {}
+    for brk in scheme.breaks.values():
+        index.setdefault((brk.offset, brk.pipe), brk)
+    return index
 
 
 def offset_affects_pipe_pos(scheme: Scheme, off, pipe_id: int, t: float) -> bool:
     """Whether the offset displaces the point at arc length ``t`` on a pipe."""
-    if off.kind is OffsetKind.GENERAL:
-        if off.axis is None:
-            return False
-        return general_side(off, model.pipe_point_at(scheme, pipe_id, t))
-    pipe = scheme.pipe(pipe_id)
-    brk = break_on(scheme, off, pipe_id)
-    if brk is not None and t > brk.placement:
-        return pipe.end in off.displaced_points
-    return pipe.start in off.displaced_points
+    side = OffsetSide(off)
+    brk = break_on(scheme, off, pipe_id) if side.local else None
+    p = None if side.index is None else model.pipe_point_at(scheme, pipe_id, t)
+    return side.affects_pipe_pos(scheme.pipe(pipe_id), brk, t, p)
 
 
 def pipe_crosses_offset(scheme: Scheme, off, pipe_id: int) -> bool:
     """A pipe is affected when its endpoints displace differently."""
-    pipe = scheme.pipe(pipe_id)
-    return (offset_affects_point(scheme, off, pipe.start)
-            != offset_affects_point(scheme, off, pipe.end))
-
-
-def point_displacement(scheme: Scheme, point_id: int) -> Vec3:
-    """Displacement vector of one point; offsets affecting it sum up."""
-    d = (0.0, 0.0, 0.0)
-    for off in scheme.offsets.values():
-        if offset_affects_point(scheme, off, point_id):
-            d = add3(d, mul3(off.ort, off.magnitude))
-    return d
+    return OffsetSide(off).crosses(scheme, scheme.pipe(pipe_id))
 
 
 def point_displacements(scheme: Scheme) -> dict[int, Vec3]:
     """Displacement vector per point id."""
-    return {pid: point_displacement(scheme, pid) for pid in scheme.points}
+    view = OffsetView(scheme)
+    return {pid: view.point_displacement(pid) for pid in scheme.points}
 
 
 def apply_offsets(scheme: Scheme) -> dict[int, Vec3]:
@@ -210,42 +249,7 @@ def apply_offsets(scheme: Scheme) -> dict[int, Vec3]:
 
 def displacement_on_pipe(scheme: Scheme, pipe_id: int, t: float) -> Vec3:
     """Displacement of the point at arc length ``t`` on a pipe."""
-    d = (0.0, 0.0, 0.0)
-    for off in scheme.offsets.values():
-        if offset_affects_pipe_pos(scheme, off, pipe_id, t):
-            d = add3(d, mul3(off.ort, off.magnitude))
-    return d
-
-
-def displaced_pipe_pos(scheme: Scheme, pipe_id: int, t: float) -> Vec3:
-    p = model.pipe_point_at(scheme, pipe_id, t)
-    return add3(p, displacement_on_pipe(scheme, pipe_id, t))
-
-
-def pipe_split_params(scheme: Scheme, pipe_id: int) -> list[tuple[float, int]]:
-    """Arc-length positions where offsets break this pipe, with offset ids.
-
-    General offsets split at the plane crossing, local offsets at their break
-    position.  Sorted ascending; at most one entry per offset.
-    """
-    a, b = model.pipe_ends(scheme, pipe_id)
-    length = model.pipe_length(scheme, pipe_id)
-    splits: list[tuple[float, int]] = []
-    for oid, off in scheme.offsets.items():
-        if not pipe_crosses_offset(scheme, off, pipe_id):
-            continue
-        if off.kind is OffsetKind.GENERAL:
-            denom = b[off.axis.index] - a[off.axis.index]
-            if denom == 0.0:
-                continue
-            frac = (off.plane_coord - a[off.axis.index]) / denom
-            splits.append((min(max(frac, 0.0), 1.0) * length, oid))
-        else:
-            brk = break_on(scheme, off, pipe_id)
-            if brk is not None:
-                splits.append((brk.placement, oid))
-    splits.sort()
-    return splits
+    return OffsetView(scheme).displacement_on_pipe(pipe_id, t)
 
 
 @dataclass
@@ -264,21 +268,7 @@ class DrawnSpan:
 
 
 def pipe_drawn_spans(scheme: Scheme, proj: Projection, pipe_id: int) -> list[DrawnSpan]:
-    length = model.pipe_length(scheme, pipe_id)
-    splits = pipe_split_params(scheme, pipe_id)
-    bounds = [0.0] + [t for t, _ in splits] + [length]
-    spans: list[DrawnSpan] = []
-    for i in range(len(bounds) - 1):
-        t0, t1 = bounds[i], bounds[i + 1]
-        mid = 0.5 * (t0 + t1)
-        d = displacement_on_pipe(scheme, pipe_id, mid)
-        q0 = add3(model.pipe_point_at(scheme, pipe_id, t0), d)
-        q1 = add3(model.pipe_point_at(scheme, pipe_id, t1), d)
-        u0, _ = project_point(proj, q0)
-        u1, _ = project_point(proj, q1)
-        gap_offset = splits[i - 1][1] if i > 0 else None
-        spans.append(DrawnSpan(u0, u1, t0, t1, gap_offset))
-    return spans
+    return OffsetView(scheme).drawn_spans(proj, pipe_id)
 
 
 @dataclass
@@ -293,18 +283,111 @@ class DrawnChain:
 
 def drawn_chains(scheme: Scheme, proj: Projection, pipe_ids) -> dict[int, DrawnChain]:
     """The drawn chain of every pipe of nonzero length among ``pipe_ids``."""
-    s = scheme.settings.scale
-    chains: dict[int, DrawnChain] = {}
-    for pid in pipe_ids:
-        if model.pipe_length(scheme, pid) == 0.0:
-            continue
-        spans = pipe_drawn_spans(scheme, proj, pid)
-        paper = [((a.p0[0] * s, a.p0[1] * s), (a.p1[0] * s, a.p1[1] * s)) for a in spans]
-        acc = [0.0]
-        for p0, p1 in paper:
-            acc.append(acc[-1] + dist2(p0, p1))
-        chains[pid] = DrawnChain(spans, paper, acc)
-    return chains
+    return OffsetView(scheme).drawn_chains(proj, pipe_ids)
+
+
+class OffsetView:
+    """Every offset of one scheme resolved once, for one layout.
+
+    It holds each offset's ``OffsetSide``, the ``break_index``, each pipe's
+    ends and length, and each point's displacement, the last two filled in
+    as they are asked for.  It reads the scheme as it was when built: build
+    a new one after an edit.
+    """
+
+    def __init__(self, scheme: Scheme):
+        self.scheme = scheme
+        self.sides = {oid: OffsetSide(off) for oid, off in scheme.offsets.items()}
+        self.breaks = break_index(scheme)
+        self._pipes: dict[int, tuple] = {}  # id -> (pipe, start, end, length)
+        self._points: dict[int, Vec3] = {}  # id -> displacement
+
+    def pipe(self, pipe_id: int) -> tuple:
+        """(pipe, start position, end position, length)."""
+        got = self._pipes.get(pipe_id)
+        if got is None:
+            pipe = self.scheme.pipe(pipe_id)
+            a = self.scheme.point(pipe.start).as_tuple()
+            b = self.scheme.point(pipe.end).as_tuple()
+            got = self._pipes[pipe_id] = (pipe, a, b, dist3(a, b))
+        return got
+
+    def point_at(self, pipe_id: int, t: float) -> Vec3:
+        """``model.pipe_point_at``."""
+        _, a, b, length = self.pipe(pipe_id)
+        return along3(a, b, length, t)
+
+    def point_displacement(self, point_id: int) -> Vec3:
+        """The offsets that move a point, summed."""
+        d = self._points.get(point_id)
+        if d is None:
+            d = (0.0, 0.0, 0.0)
+            for side in self.sides.values():
+                if side.affects_point(self.scheme, point_id):
+                    d = add3(d, side.disp)
+            self._points[point_id] = d
+        return d
+
+    def affects_pipe_pos(self, offset_id: int, pipe_id: int, t: float) -> bool:
+        pipe, a, b, length = self.pipe(pipe_id)
+        return self.sides[offset_id].affects_pipe_pos(
+            pipe, self.breaks.get((offset_id, pipe_id)), t, along3(a, b, length, t))
+
+    def displacement_on_pipe(self, pipe_id: int, t: float) -> Vec3:
+        pipe, a, b, length = self.pipe(pipe_id)
+        p = along3(a, b, length, t)
+        d = (0.0, 0.0, 0.0)
+        for oid, side in self.sides.items():
+            if side.affects_pipe_pos(pipe, self.breaks.get((oid, pipe_id)), t, p):
+                d = add3(d, side.disp)
+        return d
+
+    def displaced_pipe_pos(self, pipe_id: int, t: float) -> Vec3:
+        return add3(self.point_at(pipe_id, t), self.displacement_on_pipe(pipe_id, t))
+
+    def split_params(self, pipe_id: int) -> list[tuple[float, int]]:
+        """Arc-length positions where offsets break a pipe, with offset ids:
+        general offsets at the plane crossing, local ones at their break
+        position.  Sorted; at most one entry per offset."""
+        pipe, a, b, length = self.pipe(pipe_id)
+        splits: list[tuple[float, int]] = []
+        for oid, side in self.sides.items():
+            if not side.crosses(self.scheme, pipe):
+                continue
+            t = side.split_at(a, b, length, self.breaks.get((oid, pipe_id)))
+            if t is not None:
+                splits.append((t, oid))
+        splits.sort()
+        return splits
+
+    def drawn_spans(self, proj: Projection, pipe_id: int) -> list[DrawnSpan]:
+        """A pipe's rigidly displaced pieces between its split positions."""
+        splits = self.split_params(pipe_id)
+        bounds = [0.0] + [t for t, _ in splits] + [self.pipe(pipe_id)[3]]
+        spans: list[DrawnSpan] = []
+        for i in range(len(bounds) - 1):
+            t0, t1 = bounds[i], bounds[i + 1]
+            d = self.displacement_on_pipe(pipe_id, 0.5 * (t0 + t1))
+            u0, _ = project_point(proj, add3(self.point_at(pipe_id, t0), d))
+            u1, _ = project_point(proj, add3(self.point_at(pipe_id, t1), d))
+            gap_offset = splits[i - 1][1] if i > 0 else None
+            spans.append(DrawnSpan(u0, u1, t0, t1, gap_offset))
+        return spans
+
+    def drawn_chains(self, proj: Projection, pipe_ids) -> dict[int, DrawnChain]:
+        """The drawn chain of every pipe of nonzero length among ``pipe_ids``."""
+        s = self.scheme.settings.scale
+        chains: dict[int, DrawnChain] = {}
+        for pid in pipe_ids:
+            if self.pipe(pid)[3] == 0.0:
+                continue
+            spans = self.drawn_spans(proj, pid)
+            paper = [((a.p0[0] * s, a.p0[1] * s), (a.p1[0] * s, a.p1[1] * s)) for a in spans]
+            acc = [0.0]
+            for p0, p1 in paper:
+                acc.append(acc[-1] + dist2(p0, p1))
+            chains[pid] = DrawnChain(spans, paper, acc)
+        return chains
 
 
 # -- block coverage ----------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import constraints, edit, geometry, model
-from .geometry import Projection, Selection
+from .geometry import OffsetView, Projection, Selection
 from .model import (
     Axis,
     BreakGlyph,
@@ -154,24 +154,24 @@ def _paper(scheme: Scheme, proj: Projection, p) -> Vec2:
 
 
 def _axis_image(proj: Projection, axis: Axis) -> Vec2 | None:
-    img = {Axis.X: proj.ex, Axis.Y: proj.ey, Axis.Z: proj.ez}[axis]
+    img = (proj.ex, proj.ey, proj.ez)[axis.index]
     if norm2(img) < 1e-12:
         return None
     return unit2(img)
 
 
-def _displaced_point_img(scheme: Scheme, proj: Projection, point_id: int) -> Vec2:
-    p = scheme.point(point_id).as_tuple()
-    return _paper(scheme, proj, add3(p, geometry.point_displacement(scheme, point_id)))
+def _displaced_point_img(view: OffsetView, proj: Projection, point_id: int) -> Vec2:
+    p = view.scheme.point(point_id).as_tuple()
+    return _paper(view.scheme, proj, add3(p, view.point_displacement(point_id)))
 
 
-def _pipe_pos_img(scheme: Scheme, proj: Projection, pipe_id: int, t: float) -> Vec2:
-    return _paper(scheme, proj, geometry.displaced_pipe_pos(scheme, pipe_id, t))
+def _pipe_pos_img(view: OffsetView, proj: Projection, pipe_id: int, t: float) -> Vec2:
+    return _paper(view.scheme, proj, view.displaced_pipe_pos(pipe_id, t))
 
 
-def _block_origin_img(scheme: Scheme, proj: Projection, block_id: int) -> Vec2:
-    blk = scheme.block(block_id)
-    return _pipe_pos_img(scheme, proj, blk.pipe, blk.dist_from_start)
+def _block_origin_img(view: OffsetView, proj: Projection, block_id: int) -> Vec2:
+    blk = view.scheme.block(block_id)
+    return _pipe_pos_img(view, proj, blk.pipe, blk.dist_from_start)
 
 
 def _block_axes_img(scheme: Scheme, proj: Projection, block_id: int) -> tuple[Vec2, Vec2]:
@@ -185,11 +185,11 @@ def _block_axes_img(scheme: Scheme, proj: Projection, block_id: int) -> tuple[Ve
     return out[0], out[1]
 
 
-def _block_to_paper(scheme: Scheme, proj: Projection, block_id: int):
+def _block_to_paper(view: OffsetView, proj: Projection, block_id: int):
     """Map from the symbol's local paper frame onto the sheet."""
-    origin = _block_origin_img(scheme, proj, block_id)
-    bx, by = _block_axes_img(scheme, proj, block_id)
-    stretch = scheme.block(block_id).stretch
+    origin = _block_origin_img(view, proj, block_id)
+    bx, by = _block_axes_img(view.scheme, proj, block_id)
+    stretch = view.scheme.block(block_id).stretch
 
     def tf(u: float, v: float) -> Vec2:
         return (origin[0] + stretch * (u * bx[0] + v * by[0]),
@@ -241,8 +241,8 @@ def _centered_label(text: str, at: Vec2, font: tuple, color: int) -> GlyphText:
     return GlyphText(text, (at[0] - w / 2.0, at[1] - font[1] / 2.0), font, color)
 
 
-def layout_pipes(scheme: Scheme, proj: Projection,
-                 selection: Selection | None = None) -> list[Primitive]:
+def layout_pipes(scheme: Scheme, proj: Projection, selection: Selection | None = None,
+                 view: OffsetView | None = None) -> list[Primitive]:
     """Pipes as strokes minus block coverage and occlusion gaps, with break
     glyphs (dot runs / wave pairs) and break letters; joint fillet arcs.
 
@@ -250,9 +250,10 @@ def layout_pipes(scheme: Scheme, proj: Projection,
     drawing alike; block coverage comes from one walk over the blocks.
     """
     sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
+    view = view if view is not None else OffsetView(scheme)
     vis = scheme.settings.visibility
     st = scheme.settings.breaks
-    chains = geometry.drawn_chains(scheme, proj, sorted(sel.pipes))
+    chains = view.drawn_chains(proj, sorted(sel.pipes))
     gaps: dict[int, list[tuple[float, float]]] = {}
     for gpid, interval in geometry.chain_occlusion_gaps(scheme, proj, chains):
         gaps.setdefault(gpid, []).append(interval)
@@ -263,8 +264,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
     for pid, chain in chains.items():
         pipe = scheme.pipes[pid]
         covered = coverage.get(pid, [])
-        length = model.pipe_length(scheme, pid)
-        if geometry.fully_covered(covered, length) and not vis.covered_pipes:
+        if geometry.fully_covered(covered, view.pipe(pid)[3]) and not vis.covered_pipes:
             continue
         cuts: list[tuple[float, float]] = []
         for lo, hi in covered:
@@ -277,7 +277,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
             if span.split_offset is None:
                 continue
             off = scheme.offsets[span.split_offset]
-            brk = geometry.break_on(scheme, off, pid)
+            brk = view.breaks.get((span.split_offset, pid))
             prev_end = chain.paper[i - 1][1]
             cur_start = chain.paper[i][0]
             if off.magnitude > 0:
@@ -292,7 +292,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
                 # cut in its own span around the break centre
                 if brk is None:
                     continue
-                img = _compression_centre_img(scheme, proj, pid, span, off, brk)
+                img = _compression_centre_img(view, proj, pid, span, brk)
                 half = brk.paper_len / 2.0
                 c_before = chain.acc[i - 1] + dot2(
                     sub2(img, chain.paper[i - 1][0]), _chain_dir(chain, i - 1))
@@ -338,7 +338,7 @@ def layout_pipes(scheme: Scheme, proj: Projection,
 
     if vis.joints:
         for jid in sorted(sel.joints):
-            arc = _joint_arc(scheme, proj, jid)
+            arc = _joint_arc(view, proj, jid)
             if arc is not None:
                 out.append(arc)
     return out
@@ -351,8 +351,8 @@ def _chain_dir(chain: geometry.DrawnChain, span_i: int) -> Vec2:
     return (1.0, 0.0)
 
 
-def _compression_centre_img(scheme: Scheme, proj: Projection, pid: int,
-                            span, off, brk) -> Vec2:
+def _compression_centre_img(view: OffsetView, proj: Projection, pid: int,
+                            span, brk) -> Vec2:
     """Drawn position of a compression break centre.
 
     General offsets: the plane crossing point shifted by the stored mid-shift
@@ -360,18 +360,19 @@ def _compression_centre_img(scheme: Scheme, proj: Projection, pid: int,
     break position itself.
     """
     t_split = span.t0
-    q = model.pipe_point_at(scheme, pid, t_split)
+    off = view.scheme.offsets[span.split_offset]
+    q = view.point_at(pid, t_split)
     if off.kind is OffsetKind.GENERAL:
         q = add3(q, mul3(off.ort, brk.placement))
     # draw with the fixed side's displacement: the side not moved by this offset
-    before_aff = geometry.offset_affects_pipe_pos(
-        scheme, off, pid, max(0.0, t_split - 1e-7))
+    before_aff = view.affects_pipe_pos(span.split_offset, pid, max(0.0, t_split - 1e-7))
     fixed_t = (t_split - 1e-7) if not before_aff else (t_split + 1e-7)
-    d = geometry.displacement_on_pipe(scheme, pid, max(0.0, fixed_t))
-    return _paper(scheme, proj, add3(q, d))
+    d = view.displacement_on_pipe(pid, max(0.0, fixed_t))
+    return _paper(view.scheme, proj, add3(q, d))
 
 
-def _joint_arc(scheme: Scheme, proj: Projection, joint_id: int) -> ArcStroke | None:
+def _joint_arc(view: OffsetView, proj: Projection, joint_id: int) -> ArcStroke | None:
+    scheme = view.scheme
     joint = scheme.joints[joint_id]
     if joint.kind is not JointKind.FILLET or joint.radius <= 0:
         return None
@@ -383,9 +384,9 @@ def _joint_arc(scheme: Scheme, proj: Projection, joint_id: int) -> ArcStroke | N
     sp = next(iter(shared))
     other_a = a.end if a.start == sp else a.start
     other_b = b.end if b.start == sp else b.start
-    p = _displaced_point_img(scheme, proj, sp)
-    qa = _displaced_point_img(scheme, proj, other_a)
-    qb = _displaced_point_img(scheme, proj, other_b)
+    p = _displaced_point_img(view, proj, sp)
+    qa = _displaced_point_img(view, proj, other_a)
+    qb = _displaced_point_img(view, proj, other_b)
     if dist2(p, qa) < 1e-9 or dist2(p, qb) < 1e-9:
         return None
     ua = unit2(sub2(qa, p))
@@ -411,16 +412,17 @@ def _joint_arc(scheme: Scheme, proj: Projection, joint_id: int) -> ArcStroke | N
 
 # -- blocks ---------------------------------------------------------------------
 
-def layout_blocks(scheme: Scheme, proj: Projection,
-                  selection: Selection | None = None) -> list[Primitive]:
+def layout_blocks(scheme: Scheme, proj: Projection, selection: Selection | None = None,
+                  view: OffsetView | None = None) -> list[Primitive]:
     sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
+    view = view if view is not None else OffsetView(scheme)
     out: list[Primitive] = []
     for bid in sorted(sel.blocks):
         blk = scheme.blocks[bid]
         sym = scheme.symbols.get(blk.symbol)
         if sym is None:
             continue
-        tf = _block_to_paper(scheme, proj, bid)
+        tf = _block_to_paper(view, proj, bid)
         for g in sym.graphics:
             if isinstance(g, SymbolSegment):
                 out.append(Stroke((tf(g.x1, g.y1), tf(g.x2, g.y2)),
@@ -445,16 +447,17 @@ def _dim_point_nature(scheme: Scheme, dp) -> tuple:
     return model.block_anchor_point(scheme, dp.ref)
 
 
-def _dim_point_img(scheme: Scheme, proj: Projection, dp) -> Vec2:
+def _dim_point_img(view: OffsetView, proj: Projection, dp) -> Vec2:
     if dp.kind is DimPointKind.POINT:
-        return _displaced_point_img(scheme, proj, dp.ref)
-    blk = scheme.block(dp.ref)
-    return _pipe_pos_img(scheme, proj, blk.pipe, blk.dist_from_start)
+        return _displaced_point_img(view, proj, dp.ref)
+    return _block_origin_img(view, proj, dp.ref)
 
 
-def layout_dimension(scheme: Scheme, proj: Projection, dim) -> list[Primitive]:
+def layout_dimension(scheme: Scheme, proj: Projection, dim,
+                     view: OffsetView | None = None) -> list[Primitive]:
     """Chain dimension: sorted points, extension lines, per-segment true-value
     texts, and the arrows-to-ticks substitution when space runs out."""
+    view = view if view is not None else OffsetView(scheme)
     st = scheme.settings.dimension
     if dim.dim_dir.along_pipe:
         u = model.pipe_direction(scheme, dim.dim_dir.pipe)
@@ -470,7 +473,7 @@ def layout_dimension(scheme: Scheme, proj: Projection, dim) -> list[Primitive]:
     for dp in dim.points:
         nat = _dim_point_nature(scheme, dp)
         entries.append((nat[0] * u[0] + nat[1] * u[1] + nat[2] * u[2],
-                        _dim_point_img(scheme, proj, dp)))
+                        _dim_point_img(view, proj, dp)))
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])
 
     base = add2(entries[0][1], mul2(ext2, dim.line_offset))
@@ -536,14 +539,16 @@ def format_elevation(z_nature: float) -> str:
     return f"{sign}{abs(metres):.3f}"
 
 
-def layout_elevation(scheme: Scheme, proj: Projection, mark) -> list[Primitive]:
+def layout_elevation(scheme: Scheme, proj: Projection, mark,
+                     view: OffsetView | None = None) -> list[Primitive]:
+    view = view if view is not None else OffsetView(scheme)
     st = scheme.settings.elevation
     if mark.target_kind is TargetKind.PIPE:
         anchor3 = model.pipe_point_at(scheme, mark.target, mark.t)
-        img = _pipe_pos_img(scheme, proj, mark.target, mark.t)
+        img = _pipe_pos_img(view, proj, mark.target, mark.t)
     else:
         anchor3 = model.block_anchor_point(scheme, mark.target)
-        img = _block_origin_img(scheme, proj, mark.target)
+        img = _block_origin_img(view, proj, mark.target)
     e2 = _axis_image(proj, mark.ext_axis)
     if e2 is None:
         return []
@@ -570,8 +575,10 @@ def layout_elevation(scheme: Scheme, proj: Projection, mark) -> list[Primitive]:
 
 # -- slope marks ------------------------------------------------------------------
 
-def layout_slope(scheme: Scheme, proj: Projection, mark) -> list[Primitive]:
+def layout_slope(scheme: Scheme, proj: Projection, mark,
+                 view: OffsetView | None = None) -> list[Primitive]:
     """Slope arrow pointing downhill plus the formatted value text."""
+    view = view if view is not None else OffsetView(scheme)
     st = scheme.settings.slope
     rise, run = edit.pipe_slope(scheme, mark.pipe)
     if run == 0.0 and mark.format is not SlopeFormat.ANGLE:
@@ -580,7 +587,7 @@ def layout_slope(scheme: Scheme, proj: Projection, mark) -> list[Primitive]:
     value = edit.format_slope(rise, run, mark.format, mark.precision)
     if value is None:
         raise LayoutError("slope value is not representable in the stored format")
-    at = _pipe_pos_img(scheme, proj, mark.pipe, mark.t)
+    at = _pipe_pos_img(view, proj, mark.pipe, mark.t)
     a, b = model.pipe_ends(scheme, mark.pipe)
     (du, dv), _ = geometry.project_point(proj, (b[0] - a[0], b[1] - a[1], b[2] - a[2]))
     if norm2((du, dv)) < 1e-12:
@@ -607,28 +614,36 @@ def layout_slope(scheme: Scheme, proj: Projection, mark) -> list[Primitive]:
 
 # -- texts and position marks -------------------------------------------------------
 
-def _leader_indicated_img(scheme: Scheme, proj: Projection, kind: TargetKind,
+def _leader_indicated_img(view: OffsetView, proj: Projection, kind: TargetKind,
                           leader_id: int) -> Vec2:
     if kind is TargetKind.PIPE:
-        ld = scheme.pipe_leaders[leader_id]
-        return _pipe_pos_img(scheme, proj, ld.pipe, ld.t)
-    ld = scheme.block_leaders[leader_id]
-    tf = _block_to_paper(scheme, proj, ld.block)
+        ld = view.scheme.pipe_leaders[leader_id]
+        return _pipe_pos_img(view, proj, ld.pipe, ld.t)
+    ld = view.scheme.block_leaders[leader_id]
+    tf = _block_to_paper(view, proj, ld.block)
     return tf(ld.anchor[0], ld.anchor[1])
 
 
 def layout_texts_and_marks(scheme: Scheme, proj: Projection,
-                           selection: Selection | None = None) -> list[Primitive]:
+                           selection: Selection | None = None,
+                           view: OffsetView | None = None) -> list[Primitive]:
     """Texts with shelf and leaders; position marks with their numbers."""
     sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
+    view = view if view is not None else OffsetView(scheme)
     vis = scheme.settings.visibility
     scale = scheme.settings.scale
     out: list[Primitive] = []
 
     if vis.texts:
+        # each text's leaders, pipe leaders before block leaders, in id order
+        leaders: dict[int, list[tuple[TargetKind, int]]] = {}
+        for kind, store, ids in ((TargetKind.PIPE, scheme.pipe_leaders, sel.pipe_leaders),
+                                 (TargetKind.BLOCK, scheme.block_leaders, sel.block_leaders)):
+            for lid in sorted(ids):
+                leaders.setdefault(store[lid].text, []).append((kind, lid))
         for tid in sorted(sel.texts):
             txt = scheme.texts[tid]
-            main_img = _leader_indicated_img(scheme, proj, *txt.main_leader)
+            main_img = _leader_indicated_img(view, proj, *txt.main_leader)
             # offset_vec is nature mm: scaled to paper, never re-rotated
             origin = add2(main_img, mul2(txt.offset_vec, scale))
             tfont = font_key(txt.font)
@@ -642,16 +657,9 @@ def layout_texts_and_marks(scheme: Scheme, proj: Projection,
             for i, line in enumerate(txt.lines):
                 out.append(GlyphText(line, (origin[0], origin[1] + 0.5 - i * txt.line_step),
                                      tfont, txt.color))
-            for lid in sorted(sel.pipe_leaders):
-                ld = scheme.pipe_leaders[lid]
-                if ld.text == tid:
-                    out.append(Stroke((_leader_indicated_img(scheme, proj, TargetKind.PIPE, lid),
-                                       tail), txt.color))
-            for lid in sorted(sel.block_leaders):
-                ld = scheme.block_leaders[lid]
-                if ld.text == tid:
-                    out.append(Stroke((_leader_indicated_img(scheme, proj, TargetKind.BLOCK, lid),
-                                       tail), txt.color))
+            for kind, lid in leaders.get(tid, ()):
+                out.append(Stroke((_leader_indicated_img(view, proj, kind, lid), tail),
+                                  txt.color))
 
     if vis.position_marks:
         for mid in sorted(sel.position_marks):
@@ -659,9 +667,9 @@ def layout_texts_and_marks(scheme: Scheme, proj: Projection,
             if not mark.visible and not vis.hidden_marks:
                 continue
             if mark.target_kind is TargetKind.PIPE:
-                at = _pipe_pos_img(scheme, proj, mark.target, mark.anchor_t)
+                at = _pipe_pos_img(view, proj, mark.target, mark.anchor_t)
             else:
-                tf = _block_to_paper(scheme, proj, mark.target)
+                tf = _block_to_paper(view, proj, mark.target)
                 at = tf(mark.anchor_xy[0], mark.anchor_xy[1])
             origin = add2(at, mul2(mark.offset_vec, scale))
             mfont = font_key(mark.font)
@@ -818,37 +826,39 @@ def layout_scheme(scheme: Scheme, proj: Projection, slc: Slice | None = None) ->
     dimensions, elevations, slopes, texts and marks, corner axes icon."""
     slc = slc if slc is not None else Slice()
     sel = geometry.slice_scheme(scheme, slc)
+    view = OffsetView(scheme)
     vis = scheme.settings.visibility
     out: list[Primitive] = []
     if vis.grid and sel.grid:
         out.extend(layout_axis_grid(scheme, proj))
-    out.extend(layout_pipes(scheme, proj, sel))
+    out.extend(layout_pipes(scheme, proj, sel, view))
     if vis.blocks:
-        out.extend(layout_blocks(scheme, proj, sel))
+        out.extend(layout_blocks(scheme, proj, sel, view))
     if vis.dimensions:
         for did in sorted(sel.dimensions):
-            out.extend(layout_dimension(scheme, proj, scheme.dimensions[did]))
+            out.extend(layout_dimension(scheme, proj, scheme.dimensions[did], view))
     if vis.elevations:
         for eid in sorted(sel.elevation_marks):
-            out.extend(layout_elevation(scheme, proj, scheme.elevation_marks[eid]))
+            out.extend(layout_elevation(scheme, proj, scheme.elevation_marks[eid], view))
     if vis.slopes:
         for sid in sorted(sel.slope_marks):
-            out.extend(layout_slope(scheme, proj, scheme.slope_marks[sid]))
-    out.extend(layout_texts_and_marks(scheme, proj, sel))
+            out.extend(layout_slope(scheme, proj, scheme.slope_marks[sid], view))
+    out.extend(layout_texts_and_marks(scheme, proj, sel, view))
     if vis.axes_icon:
-        out.extend(_axes_icon(scheme, proj, _icon_anchor(scheme, proj, sel)))
+        out.extend(_axes_icon(scheme, proj, _icon_anchor(view, proj, sel)))
     return out
 
 
-def _icon_anchor(scheme: Scheme, proj: Projection, sel: Selection) -> Vec2:
+def _icon_anchor(view: OffsetView, proj: Projection, sel: Selection) -> Vec2:
     """Corner position for the axes icon.
 
     Derived from the selected model geometry only, so visibility flags never
     move it.
     """
-    pts = [ _paper(scheme, proj, geometry.displaced_pipe_pos(scheme, pid, t))
-            for pid in sorted(sel.pipes)
-            for t in (0.0, model.pipe_length(scheme, pid))]
+    scheme = view.scheme
+    pts = [_paper(scheme, proj, view.displaced_pipe_pos(pid, t))
+           for pid in sorted(sel.pipes)
+           for t in (0.0, view.pipe(pid)[3])]
     if scheme.axis_grid is not None and sel.grid:
         gs = scheme.axis_grid.settings
         pts.append(_paper(scheme, proj, (0.0, 0.0, gs.plane_z)))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .vectors import Vec2, Vec3, cross3, dist3, dot3, grid_pairs, lerp3, norm3, sub3, unit3
+from .vectors import Vec2, Vec3, along3, cross3, dist3, dot3, grid_pairs, norm3, sub3, unit3
 
 # Point coincidence tolerance, model mm: closer than this merges to one point.
 MERGE_EPS = 1e-6
@@ -46,11 +46,16 @@ class Axis(Enum):
     Z = "z"
 
     def unit(self) -> Vec3:
-        return {Axis.X: (1.0, 0.0, 0.0), Axis.Y: (0.0, 1.0, 0.0), Axis.Z: (0.0, 0.0, 1.0)}[self]
+        return _AXIS_UNIT[self._value_]
 
     @property
     def index(self) -> int:
-        return {Axis.X: 0, Axis.Y: 1, Axis.Z: 2}[self]
+        return _AXIS_INDEX[self._value_]
+
+
+# keyed by value, not member: an Enum member hashes through a Python call
+_AXIS_UNIT = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
+_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 class LineType(Enum):
@@ -772,10 +777,7 @@ def pipe_direction(scheme: Scheme, pipe_id: int) -> Vec3:
 def pipe_point_at(scheme: Scheme, pipe_id: int, t: float) -> Vec3:
     """Point at arc length ``t`` (nature mm) from the pipe start."""
     a, b = pipe_ends(scheme, pipe_id)
-    length = dist3(a, b)
-    if length == 0.0:
-        return a
-    return lerp3(a, b, t / length)
+    return along3(a, b, dist3(a, b), t)
 
 
 def block_anchor_point(scheme: Scheme, block_id: int) -> Vec3:

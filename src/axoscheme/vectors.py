@@ -51,6 +51,11 @@ def lerp3(a: Vec3, b: Vec3, t: float) -> Vec3:
     return (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t, a[2] + (b[2] - a[2]) * t)
 
 
+def along3(a: Vec3, b: Vec3, length: float, t: float) -> Vec3:
+    """Point ``t`` from ``a`` toward ``b``, ``length = dist3(a, b)`` apart."""
+    return a if length == 0.0 else lerp3(a, b, t / length)
+
+
 def add2(a: Vec2, b: Vec2) -> Vec2:
     return (a[0] + b[0], a[1] + b[1])
 

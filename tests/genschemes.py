@@ -286,3 +286,39 @@ def lattice_scheme(n: int = 600) -> Scheme:
                 s.insert("pipes", model.Pipe(pid, other))
     assert len(s.pipes) == n
     return s
+
+
+def riser_scheme(risers: int = 3, floors: int = 4) -> Scheme:
+    """Vertical risers 6 m apart on a collector along X, a 1.5 m branch
+    along +Y with a fillet on every floor and a dimension up the first
+    riser.  General offsets cut every storey and the branches; local offsets
+    displace the ends of the top floor's branches, each broken at 1 m."""
+    s = model.new_scheme()
+    base = [edit.add_point(s, 6000.0 * r, 0.0, 0.0) for r in range(risers)]
+    for r in range(risers - 1):
+        edit.add_pipe(s, base[r], base[r + 1])
+    column = [base[0]]
+    tops: list[tuple[int, int]] = []  # (branch, its end point) on the top floor
+    for r in range(risers):
+        below = base[r]
+        for f in range(1, floors + 1):
+            node = edit.add_point(s, 6000.0 * r, 0.0, 3000.0 * f)
+            riser = edit.add_pipe(s, below, node)
+            end = edit.add_point(s, 6000.0 * r, 1500.0, 3000.0 * f)
+            branch = edit.add_pipe(s, node, end)
+            s.insert("joints", model.Joint(riser, branch, JointKind.FILLET, 150.0))
+            if r == 0:
+                column.append(node)
+            below = node
+        tops.append((branch, end))
+    s.insert("dimensions", Dimension([DimPoint(DimPointKind.POINT, p) for p in column],
+                                     Axis.X, model.DimDirection(axis=Axis.Z), line_offset=10.0))
+    for f in range(floors):
+        edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 3000.0 * f + 1500.0,
+                                                  (-1000.0, 500.0)[f % 2]))
+    edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Y, 400.0, -300.0))
+    for k, (branch, end) in enumerate(tops):
+        edit.add_offset(s, edit.LocalOffsetSpec((0.0, 1.0, 0.0), (-300.0, 400.0)[k % 2],
+                                                [(branch, 1000.0)], end))
+    assert model.integrity_check(s) == []
+    return s

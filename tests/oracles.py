@@ -11,7 +11,9 @@ predicates, as the integrity check did before it filtered candidate pairs.
 The all-pairs occlusion-gap and per-pipe coverage oracles are the drawing
 kernels as they were before occlusion filtered span pairs through a grid
 and coverage was gathered in one walk over the blocks; they must agree to
-the last bit.
+the last bit.  The offset oracles are the per-query loops offsets were
+resolved with before a layout built its break index and per-pipe and
+per-offset data once: each query rescans the offsets and break lines.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ from axoscheme.model import (
     Scheme,
     TargetKind,
 )
-from axoscheme.vectors import dist2, dist3, dot3
+from axoscheme.vectors import add3, dist2, dist3, dot3, mul3
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
 
@@ -436,6 +438,94 @@ def oracle_coverage_intervals(scheme: Scheme, pipe_id: int) -> list[tuple[float,
         else:
             merged.append((lo, hi))
     return merged
+
+
+# -- per-query offset resolution oracle ------------------------------------------
+
+def oracle_general_side(off, p) -> bool:
+    """True when ``p`` is strictly on the displaced side of a general offset."""
+    sign = dot3(off.ort, off.axis.unit())
+    return (p[off.axis.index] - off.plane_coord) * sign > 0.0
+
+
+def oracle_break_on(scheme: Scheme, off, pipe_id: int):
+    """The break line of offset ``off`` on a pipe, or None."""
+    for brk in scheme.breaks.values():
+        if brk.pipe == pipe_id and scheme.offsets.get(brk.offset) is off:
+            return brk
+    return None
+
+
+def oracle_offset_affects_point(scheme: Scheme, off, point_id: int) -> bool:
+    if off.kind is OffsetKind.GENERAL:
+        if off.axis is None:
+            return False
+        return oracle_general_side(off, scheme.point(point_id).as_tuple())
+    return point_id in off.displaced_points
+
+
+def oracle_offset_affects_pipe_pos(scheme: Scheme, off, pipe_id: int, t: float) -> bool:
+    """Whether the offset displaces the point at arc length ``t`` on a pipe."""
+    if off.kind is OffsetKind.GENERAL:
+        if off.axis is None:
+            return False
+        return oracle_general_side(off, model.pipe_point_at(scheme, pipe_id, t))
+    pipe = scheme.pipe(pipe_id)
+    brk = oracle_break_on(scheme, off, pipe_id)
+    if brk is not None and t > brk.placement:
+        return pipe.end in off.displaced_points
+    return pipe.start in off.displaced_points
+
+
+def oracle_pipe_crosses_offset(scheme: Scheme, off, pipe_id: int) -> bool:
+    """A pipe is affected when its endpoints displace differently."""
+    pipe = scheme.pipe(pipe_id)
+    return (oracle_offset_affects_point(scheme, off, pipe.start)
+            != oracle_offset_affects_point(scheme, off, pipe.end))
+
+
+def oracle_point_displacement(scheme: Scheme, point_id: int):
+    """Displacement vector of one point; offsets affecting it sum up."""
+    d = (0.0, 0.0, 0.0)
+    for off in scheme.offsets.values():
+        if oracle_offset_affects_point(scheme, off, point_id):
+            d = add3(d, mul3(off.ort, off.magnitude))
+    return d
+
+
+def oracle_displacement_on_pipe(scheme: Scheme, pipe_id: int, t: float):
+    """Displacement of the point at arc length ``t`` on a pipe."""
+    d = (0.0, 0.0, 0.0)
+    for off in scheme.offsets.values():
+        if oracle_offset_affects_pipe_pos(scheme, off, pipe_id, t):
+            d = add3(d, mul3(off.ort, off.magnitude))
+    return d
+
+
+def oracle_pipe_split_params(scheme: Scheme, pipe_id: int) -> list[tuple[float, int]]:
+    """Arc-length positions where offsets break this pipe, with offset ids.
+
+    General offsets split at the plane crossing, local offsets at their break
+    position.  Sorted ascending; at most one entry per offset.
+    """
+    a, b = model.pipe_ends(scheme, pipe_id)
+    length = model.pipe_length(scheme, pipe_id)
+    splits: list[tuple[float, int]] = []
+    for oid, off in scheme.offsets.items():
+        if not oracle_pipe_crosses_offset(scheme, off, pipe_id):
+            continue
+        if off.kind is OffsetKind.GENERAL:
+            denom = b[off.axis.index] - a[off.axis.index]
+            if denom == 0.0:
+                continue
+            frac = (off.plane_coord - a[off.axis.index]) / denom
+            splits.append((min(max(frac, 0.0), 1.0) * length, oid))
+        else:
+            brk = oracle_break_on(scheme, off, pipe_id)
+            if brk is not None:
+                splits.append((brk.placement, oid))
+    splits.sort()
+    return splits
 
 
 # -- cascade reachability oracle -----------------------------------------------

@@ -26,6 +26,7 @@ from axoscheme.model import (
     DimPoint,
     DimPointKind,
     ElevationMark,
+    LeaderToBlock,
     LeaderToPipe,
     PositionMark,
     ShelfDir,
@@ -41,6 +42,9 @@ from axoscheme.model import (
     UpDir,
     new_scheme,
 )
+
+from genschemes import riser_scheme
+from samples_for_tests import build_offset_scheme
 
 ISO = geometry.projection_by_name("isometric")
 
@@ -168,6 +172,28 @@ def test_layout_walks_blocks_for_coverage_once(monkeypatch):
     monkeypatch.setattr(geometry, "coverage_intervals", per_pipe)
     layout_scheme(s, ISO)
     assert walks == [len(s.blocks)]
+
+
+def test_layout_resolves_offsets_once(monkeypatch):
+    """One layout builds the break index once and reads it: no query scans
+    the break lines, on the offset sample and on a riser stack."""
+    builds = []
+    index = geometry.break_index
+
+    def counted_index(scheme):
+        builds.append(scheme)
+        return index(scheme)
+
+    def scan(scheme, off, pipe_id):
+        raise AssertionError("a layout query scanned the break lines")
+
+    monkeypatch.setattr(geometry, "break_index", counted_index)
+    monkeypatch.setattr(geometry, "break_on", scan)
+    for s in (build_offset_scheme(), riser_scheme()):
+        assert s.breaks
+        builds.clear()
+        layout_scheme(s, ISO)
+        assert builds == [s]
 
 
 def test_fillet_joint_arc():
@@ -381,6 +407,28 @@ def test_hidden_mark_filtered_until_enabled():
     s.settings.visibility.hidden_marks = True
     prims = layout_texts_and_marks(s, ISO)
     assert texts_of(prims) == ["1"]
+
+
+def test_text_leaders_keep_id_order_per_text():
+    """Each text's leader strokes follow its shelf: its pipe leaders, then
+    its block leaders, each in id order, however the ids interleave."""
+    s = samples.reference_scheme()
+    s.settings.visibility.position_marks = False
+    pipes, blocks, texts = sorted(s.pipes), sorted(s.blocks), sorted(s.texts)
+    for k in range(6):
+        tid = texts[k % len(texts)]
+        s.insert("pipe_leaders", LeaderToPipe(tid, pipes[k % len(pipes)], 100.0 + k))
+        s.insert("block_leaders", LeaderToBlock(tid, blocks[k % len(blocks)], (1.0, float(k))))
+    view = geometry.OffsetView(s)
+    want = []
+    for tid in texts:
+        for kind, store in ((TargetKind.PIPE, s.pipe_leaders),
+                            (TargetKind.BLOCK, s.block_leaders)):
+            want += [layout._leader_indicated_img(view, ISO, kind, lid)
+                     for lid in sorted(store) if store[lid].text == tid]
+    starts = [p.points[0] for p in layout_texts_and_marks(s, ISO) if isinstance(p, Stroke)]
+    assert [p for p in starts if p in set(want)] == want
+    assert len(want) > 12
 
 
 # -- axis grid ----------------------------------------------------------------------------------
