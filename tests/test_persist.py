@@ -1,6 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axoscheme import edit, model, samples
 from axoscheme.model import Axis, LineType, new_scheme
@@ -17,8 +20,12 @@ from axoscheme.persist import (
     save_binary,
     save_text,
 )
-from axoscheme.persist import binary
+from axoscheme.persist import binary, spec
+from axoscheme.persist.codec import LINES, STR, Record
 from genschemes import random_scheme
+from samples_for_tests import build_offset_scheme
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_scheme():
@@ -30,6 +37,22 @@ def small_scheme():
     edit.add_pipe(s, b, c)
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, 250.0))
     return s
+
+
+def edge_schemes():
+    """Schemes with the values one format once handled and the other did not:
+    a general offset without an axis, and empty lists of every kind."""
+    axis_less = build_offset_scheme()
+    next(o for o in axis_less.offsets.values()
+         if o.kind is model.OffsetKind.GENERAL).axis = None
+    s = small_scheme()
+    s.insert("symbols", model.SymbolDef("bare", [], cut_lengths=()))
+    for lines in ([], [""], ["", ""]):
+        tid = s.insert("texts", model.Text(lines, (model.TargetKind.PIPE, 0)))
+        lid = s.insert("pipe_leaders", model.LeaderToPipe(tid, 1, 250.0))
+        s.texts[tid].main_leader = (model.TargetKind.PIPE, lid)
+    s.insert("dimensions", model.Dimension([], Axis.X, model.DimDirection(axis=Axis.Y)))
+    return [axis_less, s]
 
 
 # -- binary ---------------------------------------------------------------------
@@ -47,13 +70,16 @@ def test_reference_scheme_compactness():
 
 
 def test_reference_corpus_file_matches_builder():
-    from pathlib import Path
-
-    committed = (Path(__file__).parent / "data" / "reference40.asts"
-                 ).read_text(encoding="utf-8")
+    committed = (DATA / "reference40.asts").read_text(encoding="utf-8")
     assert committed == save_text(samples.reference_scheme())
     assert load_text(committed) == load_binary(
         save_binary(samples.reference_scheme()))
+    # the binary golden pins the field order, not only the size
+    golden = (DATA / "reference40.astsb").read_bytes()
+    assert save_binary(samples.reference_scheme()) == golden
+    assert load_binary(golden) == load_text(committed)
+    # records end at a line feed; a carriage return before it is dropped
+    assert load_text(committed.replace("\n", "\r\n")) == load_text(committed)
 
 
 def test_binary_roundtrip_equality():
@@ -229,16 +255,14 @@ def test_special_symbols_escape_roundtrip():
 # -- cross-format ------------------------------------------------------------------
 
 def test_cross_format_equivalence():
-    for seed in range(60):
-        s = random_scheme(seed)
+    for seed, s in enumerate([random_scheme(seed) for seed in range(60)] + edge_schemes()):
         via_text = load_text(save_text(s))
         via_binary = load_binary(save_binary(s))
         assert via_text == via_binary, f"seed {seed}"
 
 
 def test_roundtrip_fuzz():
-    for seed in range(200):
-        s = random_scheme(seed)
+    for seed, s in enumerate([random_scheme(seed) for seed in range(200)] + edge_schemes()):
         assert load_binary(save_binary(s)) == s, f"seed {seed}"
         assert load_text(save_text(s)) == s, f"seed {seed}"
 
@@ -282,3 +306,32 @@ def test_sample_schemes_roundtrip():
         normal = load_binary(save_binary(s))
         assert load_binary(save_binary(normal)) == normal, build.__name__
         assert load_text(save_text(normal)) == normal, build.__name__
+
+
+def _set_strings(obj, record: Record, value: str) -> None:
+    """Store ``value`` in every string field of ``obj`` and its nested records."""
+    for f in record.fields:
+        if f.codec is STR:
+            setattr(obj, f.attr, value)
+        elif f.codec is LINES:
+            setattr(obj, f.attr, [value, value])
+        elif isinstance(f.codec, Record) and getattr(obj, f.attr) is not None:
+            _set_strings(getattr(obj, f.attr), f.codec, value)
+
+
+_STRING_BASE = samples.reference_scheme()
+next(iter(_STRING_BASE.spec_props.values())).extended = model.ExtendedProps()
+_STRING_BASE = load_binary(save_binary(_STRING_BASE))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+def test_any_string_roundtrips_in_every_string_field(value):
+    s = load_binary(save_binary(_STRING_BASE))
+    for section in spec.SECTIONS:
+        for obj in getattr(s, section.collection).values():
+            _set_strings(obj, section.record, value)
+    _set_strings(s.axis_grid, spec.AXIS_GRID.record, value)
+    _set_strings(s.settings, spec.SETTINGS, value)
+    assert load_text(save_text(s)) == s
+    assert load_binary(save_binary(s)) == s
