@@ -2,14 +2,16 @@
 orientation legality and block orientation enumeration.
 
 Everything here is a pure function over a scheme snapshot; the checks return
-``model.Violation`` lists, empty when the subject is legal.  Which side of an
-offset a point or pipe position lies on is decided in ``geometry``.
+``model.Violation`` lists, empty when the subject is legal; both
+``model.integrity_check`` and the edits run them.  Which side of an offset a
+point or pipe position lies on is decided in ``geometry``.
 Collinearity and coplanarity use a tolerance of 1e-6 relative to the
 point-set diameter; unit-vector parallelism uses an absolute 1e-9.
 """
 
 from . import geometry, model
 from .model import (
+    MERGE_EPS,
     Attach,
     Axis,
     DimDirection,
@@ -46,7 +48,28 @@ def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> list[Violation]:
     return []
 
 
-# -- general offsets --------------------------------------------------------
+# -- offsets ----------------------------------------------------------------
+
+_JOINS = "a pipe joins the displaced and fixed sides without a break"
+
+
+def check_pipe_offsets(scheme: Scheme, start: int, end: int) -> list[Violation]:
+    """Offset legality of a candidate pipe between two existing points: it
+    has no break line, so it may not cross a general offset plane nor join
+    the two sides of a local cut.  One side test per offset."""
+    pipe = model.Pipe(start, end)
+    out: list[Violation] = []
+    for oid, off in scheme.offsets.items():
+        side = geometry.OffsetSide(off)
+        if not side.crosses(scheme, pipe):
+            continue
+        if side.local:
+            out.append(Violation("offset-local-cut", f"offset:{oid}", _JOINS))
+        else:
+            out.append(Violation("offset-missing-break", f"pipe:{start}-{end}",
+                                 f"crossing pipe lacks a break line of offset {off.letter!r}"))
+    return out
+
 
 def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     """Check every pipe and dimension line crossed by a general offset plane.
@@ -59,19 +82,15 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     out: list[Violation] = []
     axis_u = off.axis.unit()
     broken = {b.pipe for b in scheme.breaks.values() if b.offset == offset_id}
-    for pid, pipe in scheme.pipes.items():
-        if not side.crosses(scheme, pipe):
-            continue
-        d = model.pipe_direction(scheme, pid)
-        if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
+    for pid in side.crossing_pipes(scheme):
+        if norm3(cross3(model.pipe_direction(scheme, pid), axis_u)) > PARALLEL_TOL:
             out.append(Violation("offset-oblique-pipe", f"pipe:{pid}",
                                  f"pipe crosses offset {off.letter!r} obliquely"))
         if pid not in broken:
             out.append(Violation("offset-missing-break", f"pipe:{pid}",
                                  f"crossing pipe lacks a break line of offset {off.letter!r}"))
     for did, dim in scheme.dimensions.items():
-        flags = [_dim_point_affected(scheme, side, dp) for dp in dim.points]
-        if not (any(flags) and not all(flags)):
+        if not _splits(scheme, side, dim):
             continue
         if dim.dim_dir.along_pipe:
             d = model.pipe_direction(scheme, dim.dim_dir.pipe)
@@ -90,13 +109,17 @@ def _dim_point_affected(scheme: Scheme, side: geometry.OffsetSide, dp: DimPoint)
     return geometry.offset_affects_pipe_pos(scheme, side.off, blk.pipe, blk.dist_from_start)
 
 
-# -- local offsets ----------------------------------------------------------
+def _splits(scheme: Scheme, side: geometry.OffsetSide, dim: model.Dimension) -> bool:
+    """Whether the offset moves some but not all of a dimension's points."""
+    return len({_dim_point_affected(scheme, side, dp) for dp in dim.points}) == 2
+
 
 def check_local_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     """Validate that a local offset's breaks form a clean graph cut.
 
     Removing the broken pipes must separate the displaced point set from its
-    complement, with every break sitting on the boundary.
+    complement, with every break sitting on the boundary.  A component mixes
+    the two sides exactly when one of its pipes has one end on each.
     """
     off = scheme.offset(offset_id)
 
@@ -113,44 +136,21 @@ def check_local_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
         pipe = scheme.pipe(b.pipe)
         if (pipe.start in displaced) == (pipe.end in displaced):
             return cut_violation(f"break on pipe {b.pipe} does not lie on the cut boundary")
-
-    # components of the point graph with the broken pipes removed
-    adjacency: dict[int, list[int]] = {pid: [] for pid in scheme.points}
     for pid, pipe in scheme.pipes.items():
-        if pid in broken_pipes:
-            continue
-        adjacency[pipe.start].append(pipe.end)
-        adjacency[pipe.end].append(pipe.start)
-    seen: set[int] = set()
-    for root in scheme.points:
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    stack.append(nxt)
-        seen |= comp
-        inside = comp & displaced
-        if inside and inside != comp:
-            return cut_violation("a pipe joins the displaced and fixed sides without a break")
+        if (pipe.start in displaced) != (pipe.end in displaced) and pid not in broken_pipes:
+            return cut_violation(_JOINS)
     return []
 
 
+def check_offset_dimensions(scheme: Scheme, offset_id: int) -> list[Violation]:
+    """Rule (f) of the orientation calculus for this offset alone, on each
+    dimension it splits: on a valid scheme, all that adding it can break."""
+    side = geometry.OffsetSide(scheme.offset(offset_id))
+    return [v for did, dim in scheme.dimensions.items() if _splits(scheme, side, dim)
+            for v in check_dimension_orientation(scheme, f"dim:{did}", dim, [side.off])]
+
+
 # -- dimension orientation legality ----------------------------------------
-
-def _diameter(coords: list[Vec3]) -> float:
-    best = 0.0
-    for i, a in enumerate(coords):
-        for b in coords[i + 1:]:
-            d = dist3(a, b)
-            if d > best:
-                best = d
-    return best
-
 
 def _line_direction(coords: list[Vec3], tol: float) -> Vec3 | None:
     """Unit direction when all points are collinear, else None."""
@@ -216,20 +216,16 @@ def _pipes_on_line(scheme: Scheme, base: Vec3, u: Vec3, tol: float) -> list[int]
 
 
 def legal_dimension_orientations(
-    scheme: Scheme, dim_points: list[DimPoint]
+    scheme: Scheme, dim_points: list[DimPoint], offsets=None
 ) -> set[tuple[Axis, DimDirection]]:
-    """All (extension axis, dimension direction) pairs legal for the points."""
-    coords = []
-    for dp in dim_points:
-        if dp.kind is DimPointKind.POINT:
-            coords.append(scheme.point(dp.ref).as_tuple())
-        else:
-            coords.append(model.block_anchor_point(scheme, dp.ref))
+    """All (extension axis, dimension direction) pairs legal for the points,
+    with rule (f) over ``offsets`` (default: every offset of the scheme)."""
+    coords = [model.dim_point_at(scheme, dp) for dp in dim_points]
 
     def affected(side, i: int) -> bool:
         return _dim_point_affected(scheme, side, dim_points[i])
 
-    return _orientations(scheme, coords, affected)
+    return _orientations(scheme, coords, affected, offsets)
 
 
 def legal_orientations_at(
@@ -243,19 +239,17 @@ def legal_orientations_at(
     def affected(side, i: int) -> bool:
         if not side.local:
             return side.side(coords[i])
-        for pid in side.off.displaced_points:
-            if dist3(scheme.point(pid).as_tuple(), coords[i]) < model.MERGE_EPS:
-                return True
-        return False
+        return any(dist3(scheme.point(pid).as_tuple(), coords[i]) < MERGE_EPS
+                   for pid in side.off.displaced_points)
 
     return _orientations(scheme, coords, affected)
 
 
-def _orientations(scheme, coords, affected) -> set[tuple[Axis, DimDirection]]:
+def _orientations(scheme, coords, affected, offsets=None) -> set[tuple[Axis, DimDirection]]:
     empty: set[tuple[Axis, DimDirection]] = set()
     if len(coords) < 2:
         return empty
-    diameter = _diameter(coords)
+    diameter = max([0.0] + [dist3(a, b) for i, a in enumerate(coords) for b in coords[i + 1:]])
     tol = max(REL_TOL * diameter, model.MERGE_EPS)
 
     # (a) coincident points are always illegal
@@ -267,7 +261,7 @@ def _orientations(scheme, coords, affected) -> set[tuple[Axis, DimDirection]]:
     line_u = _line_direction(coords, tol)
 
     # (f) offsets moving a strict subset must stay within the plane/axis
-    for side in map(geometry.OffsetSide, scheme.offsets.values()):
+    for side in map(geometry.OffsetSide, scheme.offsets.values() if offsets is None else offsets):
         flags = [affected(side, i) for i in range(len(coords))]
         if not (any(flags) and not all(flags)):
             continue
@@ -321,19 +315,21 @@ def _orientations(scheme, coords, affected) -> set[tuple[Axis, DimDirection]]:
     return result
 
 
+def check_dimension_orientation(scheme: Scheme, subject: str, dim: model.Dimension,
+                                offsets=None) -> list[Violation]:
+    """A dimension of two or more points must have a legal orientation."""
+    if (dim.ext_axis, dim.dim_dir) in legal_dimension_orientations(scheme, dim.points, offsets):
+        return []
+    how = "pipe" if dim.dim_dir.along_pipe else dim.dim_dir.axis.value
+    return [Violation("dim-orientation", subject, f"({dim.ext_axis.value}, {how})"
+                      " is not a legal orientation for these points")]
+
+
 # -- block orientation ------------------------------------------------------
 
 _UPDIR_ORDER = (UpDir.XP, UpDir.XM, UpDir.YP, UpDir.YM, UpDir.ZP, UpDir.ZM,
                 UpDir.PIPE2, UpDir.PIPE3)
 _NEGATIVE_UPDIRS = (UpDir.XM, UpDir.YM, UpDir.ZM)
-
-
-def attached_pipe_direction(scheme: Scheme, anchor: Vec3, pipe_id: int) -> Vec3:
-    """Unit direction of an attached pipe, pointing away from the anchor."""
-    a, b = model.pipe_ends(scheme, pipe_id)
-    if dist3(anchor, a) <= dist3(anchor, b):
-        return unit3(sub3(b, a))
-    return unit3(sub3(a, b))
 
 
 def _updir_target(scheme: Scheme, updir: UpDir, anchor: Vec3,
@@ -343,7 +339,9 @@ def _updir_target(scheme: Scheme, updir: UpDir, anchor: Vec3,
     ref = pipe2 if updir is UpDir.PIPE2 else pipe3
     if ref is None:
         return None
-    return attached_pipe_direction(scheme, anchor, ref)
+    # the attached pipe's direction away from the anchor
+    a, b = model.pipe_ends(scheme, ref)
+    return unit3(sub3(b, a)) if dist3(anchor, a) <= dist3(anchor, b) else unit3(sub3(a, b))
 
 
 def enumerate_block_orientations(
@@ -404,3 +402,41 @@ def resolve_block_frame(scheme: Scheme, block_id: int):
     ey = mul3(perp, 1.0 / n)
     ez = cross3(ex, ey)
     return origin, ex, ey, ez
+
+
+def check_block(scheme: Scheme, subject: str, blk: model.Block) -> list[Violation]:
+    """The rules of a placed block, stored or a candidate."""
+    out: list[Violation] = []
+
+    def bad(rule: str, message: str) -> None:
+        out.append(Violation(rule, subject, message))
+
+    sym = scheme.symbols[blk.symbol]
+    if (blk.pipe2 is not None) != (sym.attach in (Attach.ANGULAR, Attach.TEE)):
+        bad("block-pipes", "pipe2 must be present iff attach is angular/tee")
+    if (blk.pipe3 is not None) != (sym.attach is Attach.TEE):
+        bad("block-pipes", "pipe3 must be present iff attach is tee")
+    attached = [ref for ref in (blk.pipe2, blk.pipe3) if ref is not None]
+    if not (0.0 <= blk.dist_from_start <= model.pipe_length(scheme, blk.pipe) + MERGE_EPS):
+        bad("block-dist", "attachment point outside the host pipe")
+    else:
+        anchor = model.pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
+        for ref in attached:
+            if min(dist3(anchor, end) for end in model.pipe_ends(scheme, ref)) > MERGE_EPS:
+                bad("block-pipes", f"attached pipe {ref} does not meet the attachment point")
+    if blk.updir in (UpDir.PIPE2, UpDir.PIPE3) and sym.attach is Attach.AXIAL:
+        bad("block-updir", "pipe updir requires angular/tee attach")
+    if blk.updir is UpDir.PIPE3 and sym.attach is not Attach.TEE:
+        bad("block-updir", "pipe3 updir requires tee attach")
+    if blk.stretch <= 0:
+        bad("block-stretch", "stretch ratio must be positive")
+    model._check_style(out, subject, blk.style)
+    # a zero-length pipe has no direction to orient by (see pipe-zero-length)
+    if model.pipe_length(scheme, blk.pipe) > 0 and all(
+            model.pipe_length(scheme, ref) != 0.0 for ref in attached):
+        legal = enumerate_block_orientations(scheme, blk.symbol, blk.pipe, blk.pipe2,
+                                             blk.pipe3, blk.dist_from_start)
+        if (blk.flip, blk.updir) not in legal:
+            bad("block-orientation",
+                f"orientation ({blk.flip}, {blk.updir.value}) not in the legal set")
+    return out

@@ -1,7 +1,9 @@
 """Mutating operations: merging point insertion, validated pipe/offset/block
 placement, cascade deletion, position renumbering, slope-text sync.
 
-Every operation leaves the scheme with ``integrity_check(scheme) == []``.
+An edit of a valid scheme leaves it valid, or raises ``EditError`` and
+leaves it unchanged: each edit checks what it can change with the rule code
+of ``integrity_check`` (``move_point`` runs the whole check).
 """
 
 import math
@@ -10,7 +12,6 @@ from dataclasses import dataclass, field
 
 from . import constraints, geometry, model
 from .model import (
-    Attach,
     Axis,
     BreakLine,
     EditError,
@@ -68,12 +69,14 @@ def add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
 
 
 def add_pipe(scheme: Scheme, a: int, b: int, style: LineStyle | None = None) -> int:
-    problems = constraints.check_pipe_overlap(scheme, a, b)
-    if problems:
-        raise _rejected(problems)
     if style is None:
         st = scheme.settings.pipe_style
         style = LineStyle(st.color, st.line_type)
+    problems = (constraints.check_pipe_overlap(scheme, a, b)
+                + constraints.check_pipe_offsets(scheme, a, b))
+    model._check_style(problems, f"pipe:{a}-{b}", style)
+    if problems:
+        raise _rejected(problems)
     return scheme.insert("pipes", Pipe(a, b, style))
 
 
@@ -125,42 +128,33 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
 
     General offsets auto-create break lines with scheme defaults on every
     crossing pipe; local offsets derive their displaced point set from the
-    seed point.  Legality violations reject the edit unchanged.
+    seed point.  Violations reject the edit unchanged.
     """
     letter = next_offset_letter(scheme)
-    st = scheme.settings.breaks
     if isinstance(spec, GeneralOffsetSpec):
         sign = 1.0 if spec.toward_positive else -1.0
         off = Offset(letter, mul3(spec.axis.unit(), sign), spec.magnitude,
                      OffsetKind.GENERAL, axis=spec.axis, plane_coord=spec.plane_coord)
-        if spec.magnitude == 0.0:
-            raise EditError("offset magnitude must be nonzero")
-        oid = scheme.insert("offsets", off)
-        side = geometry.OffsetSide(off)
-        for pid, pipe in scheme.pipes.items():
-            if side.crosses(scheme, pipe):
-                scheme.insert("breaks", BreakLine(
-                    pid, oid, st.paper_len, 0.0,
-                    st.label_shift_axial, st.label_shift_normal))
-        problems = constraints.check_general_offset(scheme, oid)
-        if problems:
-            _remove_offset(scheme, oid)
-            raise _rejected(problems)
-        return oid
-
-    if spec.magnitude == 0.0:
-        raise EditError("offset magnitude must be nonzero")
-    scheme.point(spec.displaced_seed)
-    broken = {pipe for pipe, _ in spec.breaks}
-    displaced = _reachable_points(scheme, spec.displaced_seed, broken)
-    off = Offset(letter, spec.ort, spec.magnitude, OffsetKind.LOCAL,
-                 displaced_points=displaced)
+        breaks = [(pid, 0.0) for pid in geometry.OffsetSide(off).crossing_pipes(scheme)]
+        legality = constraints.check_general_offset
+    else:
+        scheme.point(spec.displaced_seed)
+        broken = {pipe for pipe, _ in spec.breaks}
+        for pipe in broken:
+            scheme.pipe(pipe)  # raises on an unknown id, before any change
+        off = Offset(letter, spec.ort, spec.magnitude, OffsetKind.LOCAL,
+                     displaced_points=_reachable_points(scheme, spec.displaced_seed, broken))
+        breaks = spec.breaks
+        legality = constraints.check_local_offset
     oid = scheme.insert("offsets", off)
-    for pipe, pos in spec.breaks:
-        scheme.insert("breaks", BreakLine(
-            pipe, oid, st.paper_len, pos,
-            st.label_shift_axial, st.label_shift_normal))
-    problems = constraints.check_local_offset(scheme, oid)
+    st = scheme.settings.breaks
+    problems: list[Violation] = []
+    model._check_offset(problems, oid, off, {})  # its letter is a new one
+    for pipe, pos in breaks:
+        brk = BreakLine(pipe, oid, st.paper_len, pos, st.label_shift_axial, st.label_shift_normal)
+        bid = scheme.insert("breaks", brk)
+        model._check_break(problems, scheme, f"break:{bid}", brk)
+    problems += legality(scheme, oid) + constraints.check_offset_dimensions(scheme, oid)
     if problems:
         _remove_offset(scheme, oid)
         raise _rejected(problems)
@@ -199,31 +193,14 @@ def place_block(scheme: Scheme, symbol: int, pipe: int, dist: float,
                 stretch: float | None = None) -> int:
     """Place a library symbol on a pipe; coverage is derived at render time."""
     sym = scheme.symbol(symbol)
-    length = model.pipe_length(scheme, pipe)
-    if not (0.0 <= dist <= length):
-        raise EditError(f"attachment distance {dist} outside pipe of length {length}")
-    if sym.attach in (Attach.ANGULAR, Attach.TEE) and pipe2 is None:
-        raise EditError(f"{sym.attach.value} attach requires pipe2")
-    if sym.attach is Attach.TEE and pipe3 is None:
-        raise EditError("tee attach requires pipe3")
-    if sym.attach is Attach.AXIAL and (pipe2 is not None or pipe3 is not None):
-        raise EditError("axial attach takes no extra pipes")
-    anchor = model.pipe_point_at(scheme, pipe, dist)
-    for ref in (pipe2, pipe3):
-        if ref is None:
-            continue
-        e0, e1 = model.pipe_ends(scheme, ref)
-        if min(dist3(anchor, e0), dist3(anchor, e1)) > model.MERGE_EPS:
-            raise EditError(f"attached pipe {ref} does not meet the attachment point")
-    legal = constraints.enumerate_block_orientations(
-        scheme, symbol, pipe, pipe2, pipe3, dist_from_start=dist)
-    if (flip, updir) not in legal:
-        raise EditError(f"orientation ({flip}, {updir.value}) is not legal here")
     if style is None:
         st = scheme.settings.block.style
         style = LineStyle(st.color, st.line_type)
     blk = model.Block(symbol, pipe, dist, pipe2, pipe3, style, flip, updir,
                       sym.stretch_default if stretch is None else stretch)
+    problems = constraints.check_block(scheme, "block:new", blk)
+    if problems:
+        raise _rejected(problems)
     return scheme.insert("blocks", blk)
 
 

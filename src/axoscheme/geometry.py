@@ -9,6 +9,7 @@ pinned numeric literals so output never depends on the platform's libm.
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import model
 from .model import BreakLine, OffsetKind, Scheme, Slice
@@ -188,6 +189,15 @@ class OffsetSide:
     def crosses(self, scheme: Scheme, pipe) -> bool:
         """A pipe crosses the offset when its endpoints displace differently."""
         return self.affects_point(scheme, pipe.start) != self.affects_point(scheme, pipe.end)
+
+    def crossing_pipes(self, scheme: Scheme) -> list[int]:
+        """Ids of the pipes that a general offset's plane crosses: ``crosses``
+        over every pipe, reading each end's one coordinate."""
+        coord, plane, sign = attrgetter("xyz"[self.index]), self.plane, self.sign
+        pts = scheme.points
+        return [pid for pid, pipe in scheme.pipes.items()
+                if ((coord(pts[pipe.start]) - plane) * sign > 0.0)
+                != ((coord(pts[pipe.end]) - plane) * sign > 0.0)]
 
     def split_at(self, a: Vec3, b: Vec3, length: float,
                  brk: BreakLine | None) -> float | None:
@@ -509,11 +519,7 @@ def slice_scheme(scheme: Scheme, slc: Slice) -> Selection:
             sel.position_marks.add(mid)
     for did, dim in scheme.dimensions.items():
         for dp in dim.points:
-            if dp.kind is model.DimPointKind.POINT:
-                z = scheme.point(dp.ref).z
-            else:
-                z = model.block_anchor_point(scheme, dp.ref)[2]
-            if inside(z):
+            if inside(model.dim_point_at(scheme, dp)[2]):
                 sel.dimensions.add(did)
                 break
     for eid, mark in scheme.elevation_marks.items():

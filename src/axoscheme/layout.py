@@ -441,12 +441,6 @@ def layout_blocks(scheme: Scheme, proj: Projection, selection: Selection | None 
 
 # -- dimensions -------------------------------------------------------------------
 
-def _dim_point_nature(scheme: Scheme, dp) -> tuple:
-    if dp.kind is DimPointKind.POINT:
-        return scheme.point(dp.ref).as_tuple()
-    return model.block_anchor_point(scheme, dp.ref)
-
-
 def _dim_point_img(view: OffsetView, proj: Projection, dp) -> Vec2:
     if dp.kind is DimPointKind.POINT:
         return _displaced_point_img(view, proj, dp.ref)
@@ -471,7 +465,7 @@ def layout_dimension(scheme: Scheme, proj: Projection, dim,
 
     entries = []
     for dp in dim.points:
-        nat = _dim_point_nature(scheme, dp)
+        nat = model.dim_point_at(scheme, dp)
         entries.append((nat[0] * u[0] + nat[1] * u[1] + nat[2] * u[2],
                         _dim_point_img(view, proj, dp)))
     order = sorted(range(len(entries)), key=lambda i: entries[i][0])

@@ -575,13 +575,9 @@ class Scheme:
 
     # -- identifier allocation ------------------------------------------
 
-    def new_id(self, collection: str) -> int:
+    def insert(self, collection: str, obj) -> int:
         nid = self.next_ids.get(collection, 1)
         self.next_ids[collection] = nid + 1
-        return nid
-
-    def insert(self, collection: str, obj) -> int:
-        nid = self.new_id(collection)
         getattr(self, collection)[nid] = obj
         return nid
 
@@ -599,9 +595,6 @@ class Scheme:
     def pipe(self, oid: int) -> Pipe:
         return self._get("pipes", oid)
 
-    def joint(self, oid: int) -> Joint:
-        return self._get("joints", oid)
-
     def offset(self, oid: int) -> Offset:
         return self._get("offsets", oid)
 
@@ -610,9 +603,6 @@ class Scheme:
 
     def block(self, oid: int) -> Block:
         return self._get("blocks", oid)
-
-    def text(self, oid: int) -> Text:
-        return self._get("texts", oid)
 
     def spec_prop(self, oid: int) -> SpecProps:
         return self._get("spec_props", oid)
@@ -785,6 +775,13 @@ def block_anchor_point(scheme: Scheme, block_id: int) -> Vec3:
     return pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
 
 
+def dim_point_at(scheme: Scheme, dp: DimPoint) -> Vec3:
+    """Where a dimension point sits: its point, or its block's anchor."""
+    if dp.kind is DimPointKind.POINT:
+        return scheme.point(dp.ref).as_tuple()
+    return block_anchor_point(scheme, dp.ref)
+
+
 def symbol_bbox(sym: SymbolDef) -> tuple[float, float, float, float]:
     """Bounding box (xmin, ymin, xmax, ymax) of the symbol graphics."""
     xs: list[float] = []
@@ -825,6 +822,42 @@ def _check_style(out: list[Violation], subject: str, style: LineStyle) -> None:
 def _check_font(out: list[Violation], subject: str, font: FontSetting) -> None:
     if font.height <= 0 or font.width_factor <= 0:
         _bad(out, "font-invalid", subject, "font height and width factor must be positive")
+
+
+def _check_offset(out: list[Violation], oid: int, off: Offset,
+                  letters: dict[str, int]) -> None:
+    """An offset's rules; ``letters`` maps earlier offsets' letters to ids."""
+    subject = f"offset:{oid}"
+    if abs(norm3(off.ort) - 1.0) > 1e-9:
+        _bad(out, "offset-ort", subject, "ort is not unit length")
+    if off.magnitude == 0.0:
+        _bad(out, "offset-magnitude", subject, "magnitude must be nonzero")
+    if off.letter in letters:
+        _bad(out, "offset-letter", subject,
+             f"letter {off.letter!r} already used by offset {letters[off.letter]}")
+    else:
+        letters[off.letter] = oid
+    if off.kind is OffsetKind.GENERAL:
+        if off.axis is None:
+            _bad(out, "offset-general-axis", subject, "general offset needs a plane axis")
+        elif abs(abs(dot3(off.ort, off.axis.unit())) - 1.0) > 1e-9:
+            _bad(out, "offset-general-axis", subject,
+                 "ort must be the plane normal (either sign)")
+
+
+def _check_break(out: list[Violation], scheme: Scheme, subject: str, brk: BreakLine) -> None:
+    """A break line's glyph, and its place on the pipe its offset crosses."""
+    off = scheme.offsets[brk.offset]
+    if brk.glyph is BreakGlyph.WAVES and off.magnitude >= 0:
+        _bad(out, "break-glyph", subject, "wave glyph allowed only for compression")
+    if off.kind is OffsetKind.GENERAL and off.axis is not None:
+        a0, a1 = pipe_ends(scheme, brk.pipe)
+        c0 = a0[off.axis.index] - off.plane_coord
+        c1 = a1[off.axis.index] - off.plane_coord
+        if not (min(c0, c1) < 0.0 < max(c0, c1)):
+            _bad(out, "break-unaffected", subject, "pipe does not cross the offset plane")
+    if off.kind is OffsetKind.LOCAL and not 0.0 <= brk.placement <= pipe_length(scheme, brk.pipe):
+        _bad(out, "break-unaffected", subject, "break position outside the pipe")
 
 
 def _segments_overlap(a0: Vec3, a1: Vec3, b0: Vec3, b1: Vec3) -> bool:
@@ -955,43 +988,13 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     # offsets
     letters: dict[str, int] = {}
     for oid, off in intact("offsets"):
-        sub = f"offset:{oid}"
-        if abs(norm3(off.ort) - 1.0) > 1e-9:
-            _bad(out, "offset-ort", sub, "ort is not unit length")
-        if off.magnitude == 0.0:
-            _bad(out, "offset-magnitude", sub, "magnitude must be nonzero")
-        if off.letter in letters:
-            _bad(out, "offset-letter", sub,
-                 f"letter {off.letter!r} already used by offset {letters[off.letter]}")
-        else:
-            letters[off.letter] = oid
-        if off.kind is OffsetKind.GENERAL:
-            if off.axis is None:
-                _bad(out, "offset-general-axis", sub, "general offset needs a plane axis")
-            else:
-                au = off.axis.unit()
-                if abs(abs(dot3(off.ort, au)) - 1.0) > 1e-9:
-                    _bad(out, "offset-general-axis", sub,
-                         "ort must be the plane normal (either sign)")
+        _check_offset(out, oid, off, letters)
 
     # break lines
     for bid, brk in intact("breaks"):
-        sub = f"break:{bid}"
-        off = scheme.offsets[brk.offset]
-        if brk.glyph is BreakGlyph.WAVES and off.magnitude >= 0:
-            _bad(out, "break-glyph", sub, "wave glyph allowed only for compression")
-        if off.kind is OffsetKind.GENERAL and off.axis is not None:
-            a0, a1 = pipe_ends(scheme, brk.pipe)
-            c0 = a0[off.axis.index] - off.plane_coord
-            c1 = a1[off.axis.index] - off.plane_coord
-            if not (min(c0, c1) < 0.0 < max(c0, c1)):
-                _bad(out, "break-unaffected", sub,
-                     "pipe does not cross the offset plane")
-        if off.kind is OffsetKind.LOCAL:
-            if not (0.0 <= brk.placement <= pipe_length(scheme, brk.pipe)):
-                _bad(out, "break-unaffected", sub, "break position outside the pipe")
+        _check_break(out, scheme, f"break:{bid}", brk)
 
-    # local offset cuts walk the whole pipe graph and the offset's breaks
+    # local offset cuts read every pipe and the offset's breaks
     from . import constraints  # deferred: constraints imports this module
 
     cut_damaged = {scheme.breaks[bid].offset for bid in broken["breaks"]}
@@ -1015,44 +1018,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # blocks
     for bid, blk in intact("blocks"):
-        sub = f"block:{bid}"
-        sym = scheme.symbols[blk.symbol]
-        needs2 = sym.attach in (Attach.ANGULAR, Attach.TEE)
-        needs3 = sym.attach is Attach.TEE
-        if (blk.pipe2 is not None) != needs2:
-            _bad(out, "block-pipes", sub,
-                 f"pipe2 must be present iff attach is angular/tee")
-        if (blk.pipe3 is not None) != needs3:
-            _bad(out, "block-pipes", sub, "pipe3 must be present iff attach is tee")
-        if not (0.0 <= blk.dist_from_start <= pipe_length(scheme, blk.pipe) + MERGE_EPS):
-            _bad(out, "block-dist", sub, "attachment point outside the host pipe")
-        else:
-            anchor = pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
-            for ref in (blk.pipe2, blk.pipe3):
-                if ref is None:
-                    continue
-                e0, e1 = pipe_ends(scheme, ref)
-                if min(dist3(anchor, e0), dist3(anchor, e1)) > MERGE_EPS:
-                    _bad(out, "block-pipes", sub,
-                         f"attached pipe {ref} does not meet the attachment point")
-        if blk.updir in (UpDir.PIPE2, UpDir.PIPE3) and sym.attach is Attach.AXIAL:
-            _bad(out, "block-updir", sub, "pipe updir requires angular/tee attach")
-        if blk.updir is UpDir.PIPE3 and sym.attach is not Attach.TEE:
-            _bad(out, "block-updir", sub, "pipe3 updir requires tee attach")
-        if blk.stretch <= 0:
-            _bad(out, "block-stretch", sub, "stretch ratio must be positive")
-        _check_style(out, sub, blk.style)
-        # a zero-length attached pipe has no direction to orient by; it is
-        # reported as pipe-zero-length above
-        attached_zero = any(pipe_length(scheme, ref) == 0.0
-                            for ref in (blk.pipe2, blk.pipe3) if ref is not None)
-        if pipe_length(scheme, blk.pipe) > 0 and not attached_zero:
-            legal = constraints.enumerate_block_orientations(
-                scheme, blk.symbol, blk.pipe, blk.pipe2, blk.pipe3,
-                dist_from_start=blk.dist_from_start)
-            if (blk.flip, blk.updir) not in legal:
-                _bad(out, "block-orientation", sub,
-                     f"orientation ({blk.flip}, {blk.updir.value}) not in the legal set")
+        out += constraints.check_block(scheme, f"block:{bid}", blk)
 
     # texts and leaders
     leaders_by_text: dict[int, list[tuple[TargetKind, int]]] = {}
@@ -1123,15 +1089,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         sub = f"dim:{did}"
         if len(dim.points) < 2:
             _bad(out, "dim-points", sub, "a dimension needs at least two points")
-            continue
-        if broken["pipes"]:
-            continue  # the orientation calculus scans every pipe
-        legal = constraints.legal_dimension_orientations(scheme, dim.points)
-        key = (dim.ext_axis, dim.dim_dir)
-        if key not in legal:
-            _bad(out, "dim-orientation", sub,
-                 f"({dim.ext_axis.value}, {'pipe' if dim.dim_dir.along_pipe else dim.dim_dir.axis.value})"
-                 " is not a legal orientation for these points")
+        elif not broken["pipes"]:  # the orientation calculus scans every pipe
+            out += constraints.check_dimension_orientation(scheme, sub, dim)
 
     # elevation marks
     for eid, mark in intact("elevation_marks"):
@@ -1182,6 +1141,11 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         _bad(out, "settings-invalid", "settings", "slice bounds must be ordered")
     _check_style(out, "settings", st.pipe_style)
 
+    # general offset planes, last: the pass reads every pipe and point
+    if not any(broken.values()):
+        for oid, off in scheme.offsets.items():
+            if off.kind is OffsetKind.GENERAL and off.axis is not None:
+                out += constraints.check_general_offset(scheme, oid)
     return out
 
 

@@ -11,7 +11,7 @@ from .. import model
 from ..model import Scheme
 from .codec import Reader as _R
 from .codec import U16, U32, write_varint
-from .common import BadMagicError, TruncatedError, VersionError, check_references
+from .common import BadMagicError, TruncatedError, VersionError, check_references, saver
 from .spec import AXIS_GRID, SECTIONS, SETTINGS, renumbered
 
 MAGIC = b"ASTS"
@@ -28,6 +28,7 @@ def _section(out: bytearray, tag: int, payload: bytearray) -> None:
     out += payload
 
 
+@saver
 def save_binary(scheme: Scheme) -> bytes:
     """Serialize to the compact parameter-set bytes (ids renumbered densely)."""
     s = renumbered(scheme)

@@ -139,14 +139,20 @@ def _f32_parse(raw) -> float:
     return _F32.unpack(_F32.pack(float(raw)))[0]
 
 
+def _int_text(v) -> str:
+    if type(v) is not int:
+        raise PersistError(f"{v!r} is not an integer")
+    return str(v)
+
+
 F32 = Codec(_f32_text, _f32_parse, *_fixed("f", "f32"))
-U8 = Codec(str, int, *_fixed("B", "u8"))
-U16 = Codec(str, int, *_fixed("H", "u16"))
-U32 = Codec(str, int, *_fixed("I", "u32"))
+U8 = Codec(_int_text, int, *_fixed("B", "u8"))
+U16 = Codec(_int_text, int, *_fixed("H", "u16"))
+U32 = Codec(_int_text, int, *_fixed("I", "u32"))
 FLAG = Codec(lambda v: "1" if v else "0", {"0": False, "1": True}.__getitem__,
              *_fixed("?", "flag"))
 # an identifier: a u16, 1 and up; which collection it names is model.REFERENCES'
-ID = Codec(str, int, *_fixed("H", "u16"))
+ID = Codec(_int_text, int, *_fixed("H", "u16"))
 
 
 def _none_or(parse):
@@ -166,6 +172,11 @@ def enum(cls) -> Codec:
     index = values.index
     n = len(values)
 
+    def text(v):
+        if type(v) is not cls:
+            raise PersistError(f"{v!r} is not a {cls.__name__}")
+        return v._value_
+
     def write(out, v):
         try:
             out.append(index(v))
@@ -178,7 +189,7 @@ def enum(cls) -> Codec:
             return values[code]
         raise CorruptError(f"bad {cls.__name__} code {code}")
 
-    return Codec(attrgetter("_value_"), by_value.__getitem__, write, read)
+    return Codec(text, by_value.__getitem__, write, read)
 
 
 @cache

@@ -1,6 +1,7 @@
 """Shared persistence machinery: errors, f32 quantization, the reference check."""
 
 import struct
+from functools import wraps
 
 from .. import model
 from ..model import Scheme, SchemeError
@@ -49,3 +50,15 @@ def check_references(scheme: Scheme) -> None:
     for name, oid, field, target, rid in model.dangling_refs(scheme):
         raise DanglingIndexError(f"{model.SUBJECTS[name]}:{oid} {field} references "
                                  f"missing {target[:-1]} {rid}")
+
+
+def saver(save):
+    """A saver that raises PersistError where a field holds a value of the
+    wrong type; the codecs check those they could write wrongly."""
+    @wraps(save)
+    def checked(scheme: Scheme):
+        try:
+            return save(scheme)
+        except (AttributeError, KeyError, TypeError) as e:
+            raise PersistError(f"a field holds a value of the wrong type ({e!r})") from None
+    return checked

@@ -50,7 +50,7 @@ def _parse_target(raw) -> tuple[model.TargetKind, int]:
 
 # an object on a pipe or a block: ``pipe:N`` / ``block:N``; kind u8, id u16
 TARGET = Codec(
-    lambda v: f"{v[0]._value_}:{v[1]}", _parse_target,
+    lambda v: f"{_target_kind.text(v[0])}:{ID.text(v[1])}", _parse_target,
     lambda out, v: (_target_kind.write(out, v[0]), ID.write(out, v[1])),
     lambda r: (_target_kind.read(r), ID.read(r)))
 
@@ -65,7 +65,7 @@ def _parse_dim_point(raw) -> model.DimPoint:
 _dim_point_kind = enum(model.DimPointKind)
 # a dimension point: ``p<point id>`` or ``b<block id>``
 DIM_POINT = Codec(
-    lambda v: ("p" if v.kind is model.DimPointKind.POINT else "b") + str(v.ref),
+    lambda v: ("p" if v.kind is model.DimPointKind.POINT else "b") + ID.text(v.ref),
     _parse_dim_point,
     lambda out, v: (_dim_point_kind.write(out, v.kind), ID.write(out, v.ref)),
     lambda r: model.DimPoint(_dim_point_kind.read(r), ID.read(r)))
@@ -82,7 +82,7 @@ def _write_dim_dir(out, v):
 
 # a dimension direction: ``pipe:N`` or an axis; a u8 tag, then the pipe or axis
 DIM_DIR = Codec(
-    lambda v: f"pipe:{v.pipe}" if v.along_pipe else v.axis._value_,
+    lambda v: f"pipe:{ID.text(v.pipe)}" if v.along_pipe else _axis.text(v.axis),
     lambda raw: (model.DimDirection(pipe=int(raw[5:])) if raw.startswith("pipe:")
                  else model.DimDirection(axis=_axis.parse(raw))),
     _write_dim_dir,
@@ -99,7 +99,7 @@ def _parse_group(raw) -> model.AxisGroup:
 
 # an axis group: ``<count>x<step>``
 GROUP = Codec(
-    lambda v: f"{v.count}x{F32.text(v.step)}", _parse_group,
+    lambda v: f"{U16.text(v.count)}x{F32.text(v.step)}", _parse_group,
     lambda out, v: (U16.write(out, v.count), F32.write(out, v.step)),
     lambda r: model.AxisGroup(U16.read(r), F32.read(r)))
 

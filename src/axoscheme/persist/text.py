@@ -14,7 +14,7 @@ from functools import partial
 from .. import model
 from ..model import Scheme
 from .codec import ESCAPES, FieldError, Record, take
-from .common import ParseError, check_references
+from .common import ParseError, check_references, saver
 from .spec import ARC, AXIS_GRID, SECTIONS, SEGMENT, SETTINGS, SETTINGS_LINES, renumbered
 
 FORMAT_VERSION = 1
@@ -71,6 +71,7 @@ _SETTINGS_LINES = {kind: Record(model.Settings, *(_BY_NAME[n] for n in names))
 _GRAPHICS = {"symbol.seg": SEGMENT, "symbol.arc": ARC}
 
 
+@saver
 def save_text(scheme: Scheme) -> str:
     """Canonical text form: settings first, then objects in id order."""
     s = renumbered(scheme)

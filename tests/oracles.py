@@ -13,7 +13,9 @@ kernels as they were before occlusion filtered span pairs through a grid
 and coverage was gathered in one walk over the blocks; they must agree to
 the last bit.  The offset oracles are the per-query loops offsets were
 resolved with before a layout built its break index and per-pipe and
-per-offset data once: each query rescans the offsets and break lines.
+per-offset data once: each query rescans the offsets and break lines.  The
+local-cut oracle is the component walk the cut check made before it became
+one pass over the pipes.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from axoscheme.model import (
     OffsetKind,
     Scheme,
     TargetKind,
+    Violation,
 )
 from axoscheme.vectors import add3, dist2, dist3, dot3, mul3
 
@@ -526,6 +529,56 @@ def oracle_pipe_split_params(scheme: Scheme, pipe_id: int) -> list[tuple[float, 
                 splits.append((brk.placement, oid))
     splits.sort()
     return splits
+
+
+# -- local offset cut oracle -------------------------------------------------------
+
+def oracle_local_cut(scheme: Scheme, offset_id: int) -> list[Violation]:
+    """Validate that a local offset's breaks form a clean graph cut.
+
+    Removing the broken pipes must separate the displaced point set from its
+    complement, with every break sitting on the boundary.
+    """
+    off = scheme.offset(offset_id)
+
+    def cut_violation(message: str) -> list[Violation]:
+        return [Violation("offset-local-cut", f"offset:{offset_id}", message)]
+
+    breaks = [b for b in scheme.breaks.values() if b.offset == offset_id]
+    if not breaks:
+        return cut_violation("local offset has no break lines (empty cut)")
+    broken_pipes = {b.pipe for b in breaks}
+    displaced = off.displaced_points
+
+    for b in breaks:
+        pipe = scheme.pipe(b.pipe)
+        if (pipe.start in displaced) == (pipe.end in displaced):
+            return cut_violation(f"break on pipe {b.pipe} does not lie on the cut boundary")
+
+    # components of the point graph with the broken pipes removed
+    adjacency: dict[int, list[int]] = {pid: [] for pid in scheme.points}
+    for pid, pipe in scheme.pipes.items():
+        if pid in broken_pipes:
+            continue
+        adjacency[pipe.start].append(pipe.end)
+        adjacency[pipe.end].append(pipe.start)
+    seen: set[int] = set()
+    for root in scheme.points:
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            for nxt in adjacency[cur]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    stack.append(nxt)
+        seen |= comp
+        inside = comp & displaced
+        if inside and inside != comp:
+            return cut_violation("a pipe joins the displaced and fixed sides without a break")
+    return []
 
 
 # -- cascade reachability oracle -----------------------------------------------

@@ -478,3 +478,45 @@ def test_fuzzed_edits_keep_integrity(seed):
         edit.delete_point(s, victim)
         assert integrity_check(s) == []
         assert oracle_dangling(s) == []
+
+
+# -- edits refuse by the rules of integrity_check ------------------------------------
+
+def _cross_the_plane(s):
+    p = edit.add_point(s, 2500, 1000, 1000)
+    return lambda: edit.add_pipe(s, 2, p)
+
+
+def _join_a_local_cut(s):
+    edit.add_offset(s, edit.LocalOffsetSpec((0.0, 0.0, 1.0), 200.0, [(5, 1000.0)], 6))
+    q = edit.add_point(s, 5340, 0, 1000)
+    edit.add_pipe(s, 3, q)
+    return lambda: edit.add_pipe(s, q, 6)
+
+
+@pytest.mark.parametrize("setup, rule", [
+    (_cross_the_plane, "offset-missing-break"),
+    (_join_a_local_cut, "offset-local-cut"),
+    (lambda s: lambda: edit.place_block(s, 1, 2, 500.0, updir=UpDir.ZP, stretch=-1.0),
+     "block-stretch"),
+    (lambda s: lambda: edit.place_block(s, 1, 2, 500.0, updir=UpDir.ZP,
+                                        style=LineStyle(99, LineType.SOLID)),
+     "style-palette"),
+    (lambda s: lambda: edit.add_offset(s, edit.LocalOffsetSpec(
+        (1.0, 0.0, 0.0), 200.0, [(3, 750.0)], 4)), "dim-orientation"),
+    (lambda s: lambda: edit.add_offset(s, edit.LocalOffsetSpec(
+        (1.0, 0.0, 0.0), 200.0, [(3, 9999.0)], 4)), "break-unaffected"),
+    (lambda s: lambda: edit.add_offset(s, edit.LocalOffsetSpec(
+        (2.0, 0.0, 0.0), 200.0, [(5, 1000.0)], 6)), "offset-ort"),
+    (lambda s: lambda: edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 2500.0, 300.0)),
+     "break-unaffected"),
+    (lambda s: lambda: edit.move_point(s, 5, 1500.0, 2000.0, 2500.0), "offset-oblique-pipe"),
+])
+def test_edit_refused_by_an_integrity_rule_leaves_the_scheme_unchanged(setup, rule):
+    s = samples.reference_scheme()
+    refused = setup(s)
+    assert integrity_check(s) == []
+    before = persist.save_text(s)
+    with pytest.raises(EditError, match=rule):
+        refused()
+    assert persist.save_text(s) == before

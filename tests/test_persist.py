@@ -1,3 +1,4 @@
+import copy
 import random
 from pathlib import Path
 
@@ -335,3 +336,62 @@ def test_any_string_roundtrips_in_every_string_field(value):
     _set_strings(s.settings, spec.SETTINGS, value)
     assert load_text(save_text(s)) == s
     assert load_binary(save_binary(s)) == s
+
+
+def _takes_none(codec) -> bool:
+    """Whether a field's codec stores None (``none`` in text)."""
+    try:
+        return codec.parse("none") is None
+    except Exception:
+        return False
+
+
+def _required_paths(record: Record, path: tuple = ()):
+    """Attribute paths of every field that must hold a value, nested
+    records' fields included."""
+    for f in record.fields:
+        if f.sparse or _takes_none(f.codec):
+            continue
+        for attr in f.attr if isinstance(f.attr, tuple) else (f.attr,):
+            yield path + (attr,)
+            if isinstance(f.codec, Record):
+                yield from _required_paths(f.codec, path + (attr,))
+
+
+def _none_cases():
+    """(label, scheme) with one required field of one stored object set to
+    None, for every required field of every object of two samples."""
+    for build in (samples.reference_scheme, build_offset_scheme):
+        base = build()
+        owners = [((section.collection, oid), section.record)
+                  for section in spec.SECTIONS for oid in getattr(base, section.collection)]
+        owners.append((("settings",), spec.SETTINGS))
+        if base.axis_grid is not None:
+            owners.append((("axis_grid",), spec.AXIS_GRID.record))
+        for owner, record in owners:
+            for path in _required_paths(record):
+                s = copy.deepcopy(base)
+                obj = getattr(s, owner[0])
+                if len(owner) > 1:
+                    obj = obj[owner[1]]
+                for attr in path[:-1]:
+                    obj = getattr(obj, attr)
+                setattr(obj, path[-1], None)
+                yield f"{build.__name__} {owner} {'.'.join(path)}", s
+
+
+def test_savers_refuse_none_in_a_required_field_with_persist_error():
+    """A saver raises only PersistError, and what it writes loads back."""
+    for label, s in _none_cases():
+        for save, load in ((save_text, load_text), (save_binary, load_binary)):
+            try:
+                out = save(s)
+            except PersistError:
+                continue
+            except Exception as e:
+                raise AssertionError(f"{label}: {save.__name__} raised {e!r}") from None
+            try:
+                load(out)
+            except PersistError as e:
+                raise AssertionError(f"{label}: {save.__name__} wrote what "
+                                     f"{load.__name__} rejects: {e}") from None

@@ -1,0 +1,136 @@
+"""One definition of valid.
+
+The local-cut check agrees with the component walk it replaced, and
+``axoscheme validate`` prints exactly ``model.integrity_check``: on the
+samples, on random schemes and on schemes that edits now refuse to make.
+"""
+
+from genschemes import random_scheme
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_local_cut
+from samples_for_tests import build_offset_scheme, build_rich_scheme
+
+from axoscheme import cli, edit, persist, samples
+from axoscheme.constraints import check_local_offset
+from axoscheme.model import (
+    Block,
+    BreakLine,
+    LineStyle,
+    Offset,
+    OffsetKind,
+    Pipe,
+    Point3,
+    UpDir,
+    integrity_check,
+)
+
+SAMPLES = (samples.reference_scheme, samples.golden_straight_run,
+           samples.golden_tee_assembly, samples.golden_axis_grid,
+           build_rich_scheme, build_offset_scheme)
+
+
+def corpus():
+    for build in SAMPLES:
+        yield build.__name__, build()
+    for seed in range(200):
+        yield f"random_scheme({seed})", random_scheme(seed)
+
+
+# -- the local cut against the component walk ------------------------------------
+
+def test_local_cut_matches_the_component_walk():
+    checked = 0
+    for name, s in corpus():
+        for oid, off in s.offsets.items():
+            if off.kind is OffsetKind.LOCAL:
+                assert check_local_offset(s, oid) == oracle_local_cut(s, oid), name
+                checked += 1
+    assert checked >= 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 199), data=st.data())
+def test_local_cut_matches_the_component_walk_on_mutated_cuts(seed, data):
+    """Random break sets, and displaced sets that are either random or the
+    part of the graph a break set cuts off (so that clean cuts occur)."""
+    s = random_scheme(seed)
+    pipes, points = sorted(s.pipes), sorted(s.points)
+    broken = data.draw(st.lists(st.sampled_from(pipes), max_size=4))
+    if data.draw(st.booleans()):
+        displaced = data.draw(st.sets(st.sampled_from(points)))
+    else:
+        displaced = edit._reachable_points(s, data.draw(st.sampled_from(points)), set(broken))
+    oid = s.insert("offsets", Offset("ю", (1.0, 0.0, 0.0), 100.0, OffsetKind.LOCAL,
+                                     displaced_points=displaced))
+    for pid in broken:
+        s.insert("breaks", BreakLine(pid, oid, 6.0, 0.0))
+    assert check_local_offset(s, oid) == oracle_local_cut(s, oid)
+
+
+# -- the library and the command line agree ---------------------------------------
+
+def validate_lines(scheme, tmp_path, capsys) -> list[str]:
+    path = tmp_path / "scheme.asts"
+    path.write_text(persist.save_text(scheme), encoding="utf-8")
+    code = cli.main(["validate", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == (1 if lines != ["OK"] else 0)
+    return [] if lines == ["OK"] else lines
+
+
+def library_lines(scheme) -> list[str]:
+    # what the file holds: ids renumbered densely, floats at storage precision
+    return [str(v) for v in integrity_check(persist.load_text(persist.save_text(scheme)))]
+
+
+def test_validate_prints_integrity_check(tmp_path, capsys):
+    for name, s in corpus():
+        assert validate_lines(s, tmp_path, capsys) == library_lines(s), name
+
+
+def crossing_pipe(s):
+    p = s.insert("points", Point3(2500.0, 1000.0, 1000.0))
+    s.insert("pipes", Pipe(2, p))
+
+
+def local_offset_on_riser(s):
+    oid = s.insert("offsets", Offset("б", (1.0, 0.0, 0.0), 200.0, OffsetKind.LOCAL,
+                                     displaced_points={4, 5, 6}))
+    s.insert("breaks", BreakLine(3, oid, 6.0, 750.0))
+
+
+def pipes_across_a_local_cut(s):
+    oid = s.insert("offsets", Offset("б", (0.0, 0.0, 1.0), 200.0, OffsetKind.LOCAL,
+                                     displaced_points={6}))
+    s.insert("breaks", BreakLine(5, oid, 6.0, 1000.0))
+    q = s.insert("points", Point3(5340.0, 0.0, 1000.0))
+    s.insert("pipes", Pipe(3, q))
+    s.insert("pipes", Pipe(q, 6))
+
+
+def block(stretch=1.0, color=0):
+    def place(s):
+        s.insert("blocks", Block(1, 2, 500.0, style=LineStyle(color), updir=UpDir.ZP,
+                                 stretch=stretch))
+    return place
+
+
+# each edit refused in test_edit, applied without its checks to the reference
+# sample, with the violations validate then reports
+REFUSED = [
+    (crossing_pipe, ["offset-oblique-pipe pipe:6", "offset-missing-break pipe:6"]),
+    (block(stretch=-1.0), ["block-stretch block:3"]),
+    (block(color=99), ["style-palette block:3"]),
+    (local_offset_on_riser, ["dim-orientation dim:2"]),
+    (pipes_across_a_local_cut, ["offset-local-cut offset:2"]),
+]
+
+
+def test_validate_agrees_on_what_edits_refuse(tmp_path, capsys):
+    for apply, want in REFUSED:
+        s = samples.reference_scheme()
+        apply(s)
+        found = integrity_check(s)
+        assert [f"{v.rule} {v.subject}" for v in found] == want, apply.__name__
+        assert validate_lines(s, tmp_path, capsys) == library_lines(s) == list(map(str, found))
