@@ -575,9 +575,13 @@ class Scheme:
 
     # -- identifier allocation ------------------------------------------
 
-    def insert(self, collection: str, obj) -> int:
+    def new_id(self, collection: str) -> int:
         nid = self.next_ids.get(collection, 1)
         self.next_ids[collection] = nid + 1
+        return nid
+
+    def insert(self, collection: str, obj) -> int:
+        nid = self.new_id(collection)
         getattr(self, collection)[nid] = obj
         return nid
 
@@ -595,6 +599,9 @@ class Scheme:
     def pipe(self, oid: int) -> Pipe:
         return self._get("pipes", oid)
 
+    def joint(self, oid: int) -> Joint:
+        return self._get("joints", oid)
+
     def offset(self, oid: int) -> Offset:
         return self._get("offsets", oid)
 
@@ -603,6 +610,9 @@ class Scheme:
 
     def block(self, oid: int) -> Block:
         return self._get("blocks", oid)
+
+    def text(self, oid: int) -> Text:
+        return self._get("texts", oid)
 
     def spec_prop(self, oid: int) -> SpecProps:
         return self._get("spec_props", oid)
@@ -840,9 +850,11 @@ def _check_offset(out: list[Violation], oid: int, off: Offset,
     if off.kind is OffsetKind.GENERAL:
         if off.axis is None:
             _bad(out, "offset-general-axis", subject, "general offset needs a plane axis")
-        elif abs(abs(dot3(off.ort, off.axis.unit())) - 1.0) > 1e-9:
-            _bad(out, "offset-general-axis", subject,
-                 "ort must be the plane normal (either sign)")
+        else:
+            au = off.axis.unit()
+            if abs(abs(dot3(off.ort, au)) - 1.0) > 1e-9:
+                _bad(out, "offset-general-axis", subject,
+                     "ort must be the plane normal (either sign)")
 
 
 def _check_break(out: list[Violation], scheme: Scheme, subject: str, brk: BreakLine) -> None:
@@ -855,9 +867,11 @@ def _check_break(out: list[Violation], scheme: Scheme, subject: str, brk: BreakL
         c0 = a0[off.axis.index] - off.plane_coord
         c1 = a1[off.axis.index] - off.plane_coord
         if not (min(c0, c1) < 0.0 < max(c0, c1)):
-            _bad(out, "break-unaffected", subject, "pipe does not cross the offset plane")
-    if off.kind is OffsetKind.LOCAL and not 0.0 <= brk.placement <= pipe_length(scheme, brk.pipe):
-        _bad(out, "break-unaffected", subject, "break position outside the pipe")
+            _bad(out, "break-unaffected", subject,
+                 "pipe does not cross the offset plane")
+    if off.kind is OffsetKind.LOCAL:
+        if not (0.0 <= brk.placement <= pipe_length(scheme, brk.pipe)):
+            _bad(out, "break-unaffected", subject, "break position outside the pipe")
 
 
 def _segments_overlap(a0: Vec3, a1: Vec3, b0: Vec3, b1: Vec3) -> bool:
@@ -1089,8 +1103,10 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         sub = f"dim:{did}"
         if len(dim.points) < 2:
             _bad(out, "dim-points", sub, "a dimension needs at least two points")
-        elif not broken["pipes"]:  # the orientation calculus scans every pipe
-            out += constraints.check_dimension_orientation(scheme, sub, dim)
+            continue
+        if broken["pipes"]:
+            continue  # the orientation calculus scans every pipe
+        out += constraints.check_dimension_orientation(scheme, sub, dim)
 
     # elevation marks
     for eid, mark in intact("elevation_marks"):

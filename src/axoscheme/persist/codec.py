@@ -234,6 +234,12 @@ def quote(s: str) -> str:
     return '"' + s.translate(_QUOTE) + '"'
 
 
+def _str_text(v) -> str:
+    if type(v) is not str:
+        raise PersistError(f"{v!r} is not a string")
+    return quote(v)
+
+
 def _one_string(raw) -> str:
     if type(raw) is str:
         return raw
@@ -242,12 +248,14 @@ def _one_string(raw) -> str:
 
 
 def _write_str(out, v):
+    if type(v) is not str:
+        raise PersistError(f"{v!r} is not a string")
     data = v.encode("utf-8")
     write_varint(out, len(data))
     out += data
 
 
-STR = Codec(quote, _one_string, _write_str, Reader.s)
+STR = Codec(_str_text, _one_string, _write_str, Reader.s)
 
 
 def listof(item: Codec, kind=list, sort: bool = False) -> Codec:
@@ -276,7 +284,7 @@ def listof(item: Codec, kind=list, sort: bool = False) -> Codec:
 
 _strings = listof(STR)
 # lines of text: a list of quoted strings, each kept whole
-LINES = Codec(lambda v: ",".join(map(quote, v)),
+LINES = Codec(lambda v: ",".join(map(_str_text, v)),
               lambda raw: raw if type(raw) is list else [] if raw == "" else [raw],
               _strings.write, _strings.read)
 

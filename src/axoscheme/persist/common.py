@@ -53,12 +53,14 @@ def check_references(scheme: Scheme) -> None:
 
 
 def saver(save):
-    """A saver that raises PersistError where a field holds a value of the
-    wrong type; the codecs check those they could write wrongly."""
+    """A saver that raises PersistError where a field that holds a record, a
+    tuple or a list holds None; the codecs check the type of single values."""
     @wraps(save)
     def checked(scheme: Scheme):
         try:
             return save(scheme)
         except (AttributeError, KeyError, TypeError) as e:
-            raise PersistError(f"a field holds a value of the wrong type ({e!r})") from None
+            if "NoneType" not in str(e) and e.args != (None,):
+                raise
+            raise PersistError(f"a field holds None where a value is required ({e})") from e
     return checked

@@ -8,6 +8,10 @@ from axoscheme import edit, model, persist, samples
 from axoscheme.model import (
     Attach,
     Axis,
+    DimDirection,
+    Dimension,
+    DimPoint,
+    DimPointKind,
     EditError,
     LeaderToPipe,
     LineStyle,
@@ -520,3 +524,23 @@ def test_edit_refused_by_an_integrity_rule_leaves_the_scheme_unchanged(setup, ru
     with pytest.raises(EditError, match=rule):
         refused()
     assert persist.save_text(s) == before
+
+
+def test_a_dimension_along_a_collapsed_pipe_is_reported_not_raised():
+    """A general plane splits a dimension that runs along a pipe the move
+    collapses: the pipe has no direction to test the dimension by, so
+    integrity_check reports the pipe and the move is refused, not crashed."""
+    s = new_scheme()
+    a, b, c = (edit.add_point(s, x, 0, 0) for x in (0, 1000, 3000))
+    ab = edit.add_pipe(s, a, b)
+    edit.add_pipe(s, b, c)
+    edit.add_offset(s, edit.GeneralOffsetSpec(Axis.X, 2000.0, 300.0))
+    s.insert("dimensions", Dimension([DimPoint(DimPointKind.POINT, a),
+                                      DimPoint(DimPointKind.POINT, c)],
+                                     Axis.Y, DimDirection(pipe=ab)))
+    before = persist.save_text(s)
+    with pytest.raises(EditError):
+        edit.move_point(s, b, 0.0, 0.0, 0.0)
+    assert persist.save_text(s) == before
+    s.point(b).x = 0.0
+    assert "pipe-zero-length" in {v.rule for v in integrity_check(s)}

@@ -338,6 +338,23 @@ def test_any_string_roundtrips_in_every_string_field(value):
     assert load_binary(save_binary(s)) == s
 
 
+def test_savers_refuse_a_value_of_the_wrong_type_in_a_string_field():
+    s = samples.reference_scheme()
+    s.offsets[1].letter = 5
+    for save in (save_text, save_binary):
+        with pytest.raises(PersistError, match="is not a string"):
+            save(s)
+
+
+def test_a_none_record_is_a_persist_error_that_keeps_its_cause():
+    s = samples.reference_scheme()
+    s.pipes[1].style = None
+    for save in (save_text, save_binary):
+        with pytest.raises(PersistError) as info:
+            save(s)
+        assert isinstance(info.value.__cause__, AttributeError)
+
+
 def _takes_none(codec) -> bool:
     """Whether a field's codec stores None (``none`` in text)."""
     try:
