@@ -109,7 +109,9 @@ def _dim_point_affected(scheme: Scheme, side: geometry.OffsetSide, dp: DimPoint)
     if dp.kind is DimPointKind.POINT:
         return side.affects_point(scheme, dp.ref)
     blk = scheme.block(dp.ref)
-    return geometry.offset_affects_pipe_pos(scheme, side.off, blk.pipe, blk.dist_from_start)
+    brk = geometry.break_on(scheme, side.off, blk.pipe) if side.local else None
+    p = None if side.index is None else model.pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
+    return side.affects_pipe_pos(scheme.pipe(blk.pipe), brk, blk.dist_from_start, p)
 
 
 def _splits(scheme: Scheme, side: geometry.OffsetSide, dim: model.Dimension) -> bool:
@@ -456,7 +458,7 @@ def check_block(scheme: Scheme, subject: str, blk: model.Block) -> list[Violatio
         bad("block-updir", "pipe updir requires angular/tee attach")
     if blk.updir is UpDir.PIPE3 and sym.attach is not Attach.TEE:
         bad("block-updir", "pipe3 updir requires tee attach")
-    if blk.stretch <= 0:
+    if not blk.stretch > 0:
         bad("block-stretch", "stretch ratio must be positive")
     model._check_style(out, subject, blk.style)
     # a zero-length attached pipe has no direction to orient by; it is

@@ -242,7 +242,10 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     settle the rest: a text goes with its last leader, else its main leader
     moves to a surviving one; spec props go when no mark lists them; a local
     offset goes with its last break; a dimension goes when fewer than two of
-    its points remain.  Afterwards the scheme passes ``integrity_check``.
+    its points remain.  Last, once those objects are removed, a dimension
+    goes when its orientation is no longer legal for what is left (its
+    remaining points, or a line that lost its only carrier pipe).  Afterwards
+    the scheme passes ``integrity_check``.
     """
     scheme.point(point_id)
     gone: dict[str, set[int]] = {name: set() for name in model.COLLECTIONS}
@@ -278,6 +281,8 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     def kept(target: str, oid: int) -> int | None:
         return None if oid in gone[target] else oid
 
+    npoints = {did: len(dim.points) for did, dim in scheme.dimensions.items()}
+
     for ref in _MEMBERS:
         for obj in getattr(scheme, ref.collection).values():
             if any(oid in gone[target] for target, oid in ref.ids(obj)):
@@ -292,6 +297,15 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
         store = getattr(scheme, name)
         for oid in ids:
             del store[oid]
+
+    # 5. a dimension goes when what is left gives it no legal orientation.
+    # One that kept its points keeps each offset's verdict on them (rule (f)),
+    # so only its shape and its line's carrier pipes are tested again
+    for did, dim in list(scheme.dimensions.items()):
+        offsets = () if len(dim.points) == npoints[did] else None
+        if constraints.check_dimension_orientation(scheme, f"dim:{did}", dim, offsets):
+            del scheme.dimensions[did]
+            gone["dimensions"].add(did)
 
     rep = DeletionReport(**{name: ids for name, ids in gone.items() if name != "symbols"})
     if scheme.settings.autonumber and rep.spec_props:

@@ -230,19 +230,6 @@ def break_index(scheme: Scheme) -> dict[tuple[int, int], BreakLine]:
     return index
 
 
-def offset_affects_pipe_pos(scheme: Scheme, off, pipe_id: int, t: float) -> bool:
-    """Whether the offset displaces the point at arc length ``t`` on a pipe."""
-    side = OffsetSide(off)
-    brk = break_on(scheme, off, pipe_id) if side.local else None
-    p = None if side.index is None else model.pipe_point_at(scheme, pipe_id, t)
-    return side.affects_pipe_pos(scheme.pipe(pipe_id), brk, t, p)
-
-
-def pipe_crosses_offset(scheme: Scheme, off, pipe_id: int) -> bool:
-    """A pipe is affected when its endpoints displace differently."""
-    return OffsetSide(off).crosses(scheme, scheme.pipe(pipe_id))
-
-
 def point_displacements(scheme: Scheme) -> dict[int, Vec3]:
     """Displacement vector per point id."""
     view = OffsetView(scheme)
@@ -289,11 +276,6 @@ class DrawnChain:
     spans: list[DrawnSpan]
     paper: list[tuple[Vec2, Vec2]]
     acc: list[float]  # len(spans) + 1 entries
-
-
-def drawn_chains(scheme: Scheme, proj: Projection, pipe_ids) -> dict[int, DrawnChain]:
-    """The drawn chain of every pipe of nonzero length among ``pipe_ids``."""
-    return OffsetView(scheme).drawn_chains(proj, pipe_ids)
 
 
 class OffsetView:
@@ -650,4 +632,4 @@ def occlusion_gaps(scheme: Scheme, proj: Projection,
     if not scheme.settings.visibility.occlusion:
         return []
     ids = [pid for pid in scheme.pipes if include is None or pid in include]
-    return chain_occlusion_gaps(scheme, proj, drawn_chains(scheme, proj, ids))
+    return chain_occlusion_gaps(scheme, proj, OffsetView(scheme).drawn_chains(proj, ids))

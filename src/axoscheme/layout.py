@@ -4,7 +4,10 @@ primitives with all annotation rules applied.
 Primitives carry paper-mm coordinates and resolved styling only; nothing here
 references model identifiers.  ``layout_scheme`` is a pure function of
 (scheme, projection, slice, settings), so identical input gives an identical
-primitive list.
+primitive list.  It is the one place that slices the scheme and resolves its
+offsets: it builds one ``geometry.Selection`` and one ``geometry.OffsetView``
+and hands them to each ``layout_*`` step, which reads the scheme as
+``view.scheme``.
 """
 
 import math
@@ -241,16 +244,14 @@ def _centered_label(text: str, at: Vec2, font: tuple, color: int) -> GlyphText:
     return GlyphText(text, (at[0] - w / 2.0, at[1] - font[1] / 2.0), font, color)
 
 
-def layout_pipes(scheme: Scheme, proj: Projection, selection: Selection | None = None,
-                 view: OffsetView | None = None) -> list[Primitive]:
+def layout_pipes(view: OffsetView, proj: Projection, sel: Selection) -> list[Primitive]:
     """Pipes as strokes minus block coverage and occlusion gaps, with break
     glyphs (dot runs / wave pairs) and break letters; joint fillet arcs.
 
     Each selected pipe's drawn chain is built once and read by occlusion and
     drawing alike; block coverage comes from one walk over the blocks.
     """
-    sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
-    view = view if view is not None else OffsetView(scheme)
+    scheme = view.scheme
     vis = scheme.settings.visibility
     st = scheme.settings.breaks
     chains = view.drawn_chains(proj, sorted(sel.pipes))
@@ -412,10 +413,8 @@ def _joint_arc(view: OffsetView, proj: Projection, joint_id: int) -> ArcStroke |
 
 # -- blocks ---------------------------------------------------------------------
 
-def layout_blocks(scheme: Scheme, proj: Projection, selection: Selection | None = None,
-                  view: OffsetView | None = None) -> list[Primitive]:
-    sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
-    view = view if view is not None else OffsetView(scheme)
+def layout_blocks(view: OffsetView, proj: Projection, sel: Selection) -> list[Primitive]:
+    scheme = view.scheme
     out: list[Primitive] = []
     for bid in sorted(sel.blocks):
         blk = scheme.blocks[bid]
@@ -447,11 +446,10 @@ def _dim_point_img(view: OffsetView, proj: Projection, dp) -> Vec2:
     return _block_origin_img(view, proj, dp.ref)
 
 
-def layout_dimension(scheme: Scheme, proj: Projection, dim,
-                     view: OffsetView | None = None) -> list[Primitive]:
+def layout_dimension(view: OffsetView, proj: Projection, dim) -> list[Primitive]:
     """Chain dimension: sorted points, extension lines, per-segment true-value
     texts, and the arrows-to-ticks substitution when space runs out."""
-    view = view if view is not None else OffsetView(scheme)
+    scheme = view.scheme
     st = scheme.settings.dimension
     if dim.dim_dir.along_pipe:
         u = model.pipe_direction(scheme, dim.dim_dir.pipe)
@@ -533,9 +531,8 @@ def format_elevation(z_nature: float) -> str:
     return f"{sign}{abs(metres):.3f}"
 
 
-def layout_elevation(scheme: Scheme, proj: Projection, mark,
-                     view: OffsetView | None = None) -> list[Primitive]:
-    view = view if view is not None else OffsetView(scheme)
+def layout_elevation(view: OffsetView, proj: Projection, mark) -> list[Primitive]:
+    scheme = view.scheme
     st = scheme.settings.elevation
     if mark.target_kind is TargetKind.PIPE:
         anchor3 = model.pipe_point_at(scheme, mark.target, mark.t)
@@ -569,10 +566,9 @@ def layout_elevation(scheme: Scheme, proj: Projection, mark,
 
 # -- slope marks ------------------------------------------------------------------
 
-def layout_slope(scheme: Scheme, proj: Projection, mark,
-                 view: OffsetView | None = None) -> list[Primitive]:
+def layout_slope(view: OffsetView, proj: Projection, mark) -> list[Primitive]:
     """Slope arrow pointing downhill plus the formatted value text."""
-    view = view if view is not None else OffsetView(scheme)
+    scheme = view.scheme
     st = scheme.settings.slope
     rise, run = edit.pipe_slope(scheme, mark.pipe)
     if run == 0.0 and mark.format is not SlopeFormat.ANGLE:
@@ -618,12 +614,10 @@ def _leader_indicated_img(view: OffsetView, proj: Projection, kind: TargetKind,
     return tf(ld.anchor[0], ld.anchor[1])
 
 
-def layout_texts_and_marks(scheme: Scheme, proj: Projection,
-                           selection: Selection | None = None,
-                           view: OffsetView | None = None) -> list[Primitive]:
+def layout_texts_and_marks(view: OffsetView, proj: Projection,
+                           sel: Selection) -> list[Primitive]:
     """Texts with shelf and leaders; position marks with their numbers."""
-    sel = selection if selection is not None else geometry.slice_scheme(scheme, Slice())
-    view = view if view is not None else OffsetView(scheme)
+    scheme = view.scheme
     vis = scheme.settings.visibility
     scale = scheme.settings.scale
     out: list[Primitive] = []
@@ -825,19 +819,19 @@ def layout_scheme(scheme: Scheme, proj: Projection, slc: Slice | None = None) ->
     out: list[Primitive] = []
     if vis.grid and sel.grid:
         out.extend(layout_axis_grid(scheme, proj))
-    out.extend(layout_pipes(scheme, proj, sel, view))
+    out.extend(layout_pipes(view, proj, sel))
     if vis.blocks:
-        out.extend(layout_blocks(scheme, proj, sel, view))
+        out.extend(layout_blocks(view, proj, sel))
     if vis.dimensions:
         for did in sorted(sel.dimensions):
-            out.extend(layout_dimension(scheme, proj, scheme.dimensions[did], view))
+            out.extend(layout_dimension(view, proj, scheme.dimensions[did]))
     if vis.elevations:
         for eid in sorted(sel.elevation_marks):
-            out.extend(layout_elevation(scheme, proj, scheme.elevation_marks[eid], view))
+            out.extend(layout_elevation(view, proj, scheme.elevation_marks[eid]))
     if vis.slopes:
         for sid in sorted(sel.slope_marks):
-            out.extend(layout_slope(scheme, proj, scheme.slope_marks[sid], view))
-    out.extend(layout_texts_and_marks(scheme, proj, sel, view))
+            out.extend(layout_slope(view, proj, scheme.slope_marks[sid]))
+    out.extend(layout_texts_and_marks(view, proj, sel))
     if vis.axes_icon:
         out.extend(_axes_icon(scheme, proj, _icon_anchor(view, proj, sel)))
     return out

@@ -825,12 +825,12 @@ def _bad(out: list[Violation], rule: str, subject: str, message: str) -> None:
 
 
 def _check_style(out: list[Violation], subject: str, style: LineStyle) -> None:
-    if not (0 <= style.color < PALETTE_SIZE):
+    if not (type(style.color) is int and 0 <= style.color < PALETTE_SIZE):
         _bad(out, "style-palette", subject, f"color index {style.color} outside palette")
 
 
 def _check_font(out: list[Violation], subject: str, font: FontSetting) -> None:
-    if font.height <= 0 or font.width_factor <= 0:
+    if not (font.height > 0 and font.width_factor > 0):
         _bad(out, "font-invalid", subject, "font height and width factor must be positive")
 
 
@@ -838,9 +838,9 @@ def _check_offset(out: list[Violation], oid: int, off: Offset,
                   letters: dict[str, int]) -> None:
     """An offset's rules; ``letters`` maps earlier offsets' letters to ids."""
     subject = f"offset:{oid}"
-    if abs(norm3(off.ort) - 1.0) > 1e-9:
+    if not abs(norm3(off.ort) - 1.0) <= 1e-9:
         _bad(out, "offset-ort", subject, "ort is not unit length")
-    if off.magnitude == 0.0:
+    if not abs(off.magnitude) > 0.0:
         _bad(out, "offset-magnitude", subject, "magnitude must be nonzero")
     if off.letter in letters:
         _bad(out, "offset-letter", subject,
@@ -912,7 +912,8 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     """Validate referential integrity and every per-type invariant.
 
     Returns an empty list for a consistent scheme; violations are data, not
-    exceptions, so a broken document can still be inspected.
+    exceptions, so a broken document can still be inspected.  A rule that a
+    value be positive or non-negative is written so that NaN fails it.
 
     Point coincidence and pipe overlap test only the candidate pairs that
     ``vectors.grid_pairs`` returns, so they cost time linear in the number of
@@ -996,7 +997,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         if len(shared) != 1:
             _bad(out, "joint-not-adjacent", sub,
                  "joined pipes must share exactly one endpoint")
-        if joint.kind is JointKind.FILLET and joint.radius <= 0:
+        if joint.kind is JointKind.FILLET and not joint.radius > 0:
             _bad(out, "joint-radius", sub, "fillet radius must be positive")
 
     # offsets
@@ -1025,9 +1026,9 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         if len(sym.cut_lengths) != sym.attach.legs:
             _bad(out, "symbol-cuts", sub,
                  f"{sym.attach.value} attach needs {sym.attach.legs} cut lengths")
-        if any(c < 0 for c in sym.cut_lengths):
+        if any(not c >= 0 for c in sym.cut_lengths):
             _bad(out, "symbol-cuts", sub, "cut lengths must be non-negative")
-        if sym.stretch_default <= 0:
+        if not sym.stretch_default > 0:
             _bad(out, "symbol-stretch", sub, "stretch ratio must be positive")
 
     # blocks
@@ -1087,7 +1088,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                  f"position {props.position} already used by props {seen_positions[props.position]}")
         else:
             seen_positions[props.position] = sid
-        if props.kind is SpecKind.FOR_BLOCK and props.qty <= 0:
+        if props.kind is SpecKind.FOR_BLOCK and not props.qty > 0:
             _bad(out, "props-qty", sub, "block quantity must be positive")
         if (props.extended is not None) != scheme.settings.spec_extended:
             _bad(out, "props-extended", sub,
@@ -1136,7 +1137,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             for g in groups:
                 if g.count < 1:
                     _bad(out, "grid-group", sub, "group count must be positive")
-                if g.step <= 0:
+                if not g.step > 0:
                     _bad(out, "grid-group", sub, "group step must be positive")
         nx = sum(g.count for g in grid.x_groups)
         ny = sum(g.count for g in grid.y_groups)
@@ -1147,9 +1148,9 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # settings
     st = scheme.settings
-    if st.occlusion_gap_len <= 0:
+    if not st.occlusion_gap_len > 0:
         _bad(out, "settings-invalid", "settings", "occlusion gap length must be positive")
-    if st.scale <= 0:
+    if not st.scale > 0:
         _bad(out, "settings-invalid", "settings", "scale must be positive")
     if st.slice.z_min is not None and st.slice.z_max is not None and not (
         st.slice.z_min < st.slice.z_max

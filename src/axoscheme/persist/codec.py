@@ -64,13 +64,6 @@ class Reader:
         except UnicodeDecodeError as e:
             raise CorruptError(f"string is not UTF-8 ({e.reason})") from None
 
-    def enum(self, cls):
-        return enum(cls).read(self)
-
-    def opt_enum(self, cls):
-        """An enum stored as its code plus one, with 0 for None."""
-        return opt_enum(cls).read(self)
-
     @property
     def exhausted(self) -> bool:
         return self.pos >= len(self.data)
@@ -149,8 +142,17 @@ F32 = Codec(_f32_text, _f32_parse, *_fixed("f", "f32"))
 U8 = Codec(_int_text, int, *_fixed("B", "u8"))
 U16 = Codec(_int_text, int, *_fixed("H", "u16"))
 U32 = Codec(_int_text, int, *_fixed("I", "u32"))
-FLAG = Codec(lambda v: "1" if v else "0", {"0": False, "1": True}.__getitem__,
-             *_fixed("?", "flag"))
+
+
+def as_flag(v) -> bool:
+    """``v`` itself if it is a bool; a saver writes no other value as a flag."""
+    if type(v) is not bool:
+        raise PersistError(f"{v!r} is not a flag")
+    return v
+
+
+FLAG = Codec(lambda v: "1" if as_flag(v) else "0", {"0": False, "1": True}.__getitem__,
+             lambda out, v: out.append(as_flag(v)), _fixed("?", "flag")[1])
 # an identifier: a u16, 1 and up; which collection it names is model.REFERENCES'
 ID = Codec(_int_text, int, *_fixed("H", "u16"))
 

@@ -27,6 +27,7 @@ from .codec import (
     Field,
     Reader,
     Record,
+    as_flag,
     enum,
     listof,
     opt_enum,
@@ -184,7 +185,7 @@ class _Flags(Record):
     """A record of flags, stored in binary as a u16 bitmask in field order."""
 
     def write(self, out, obj):
-        U16.write(out, sum(1 << i for i, f in enumerate(self.fields) if f.get(obj)))
+        U16.write(out, sum(1 << i for i, f in enumerate(self.fields) if as_flag(f.get(obj))))
 
     def read(self, r: Reader):
         mask = U16.read(r)

@@ -6,7 +6,6 @@ every platform.  Uses the SVG 1.1 subset: path, circle, text, g.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import layout, model
 from .layout import (
@@ -39,10 +38,8 @@ DOT_RADIUS = 0.25
 TICK_ROT = math.sqrt(0.5)  # 45 degrees
 
 
-@dataclass
-class PageSetup:
-    margin: float = 10.0
-    stroke_width: float = 0.35
+MARGIN = 10.0        # paper mm around the drawing's bounds
+STROKE_WIDTH = 0.35  # paper mm
 
 
 def _fmt(v: float) -> str:
@@ -63,13 +60,12 @@ def _xy(p) -> tuple[float, float]:
 
 
 class _Doc:
-    def __init__(self, width: float):
+    def __init__(self):
         self.lines: list[str] = []
-        self.width = width
 
     def path(self, d: str, color: str, line_type: LineType = LineType.SOLID,
              fill: str = "none", width: float | None = None) -> None:
-        w = self.width if width is None else width
+        w = STROKE_WIDTH if width is None else width
         dash = DASHES[line_type]
         attrs = [f'd="{d}"', f'fill="{fill}"', f'stroke="{color}"',
                  f'stroke-width="{_fmt(w)}"']
@@ -191,7 +187,7 @@ def _slope_wedge(doc: _Doc, x: float, y: float, cw: float, h: float,
     for a, b in ((base0, base1), (apex, far)):
         (ax, ay), (bx, by) = _xy(a), _xy(b)
         doc.path(f"M {_fmt(ax)} {_fmt(ay)} L {_fmt(bx)} {_fmt(by)}", color,
-                 width=doc.width * 0.8)
+                 width=STROKE_WIDTH * 0.8)
 
 
 def _emit_text(doc: _Doc, p: GlyphText) -> None:
@@ -234,20 +230,18 @@ _EMITTERS = (
 )
 
 
-def render(primitives, page: PageSetup | None = None) -> str:
+def render(primitives) -> str:
     """Serialize primitives to a standalone SVG document string."""
-    page = page or PageSetup()
     bb = layout.bounds(primitives)
     if bb is None:
         bb = (0.0, 0.0, 0.0, 0.0)
     min_x, min_y, max_x, max_y = bb
-    m = page.margin
-    vb_x = min_x - m
-    vb_y = -max_y - m  # SVG y-down
-    vb_w = (max_x - min_x) + 2 * m
-    vb_h = (max_y - min_y) + 2 * m
+    vb_x = min_x - MARGIN
+    vb_y = -max_y - MARGIN  # SVG y-down
+    vb_w = (max_x - min_x) + 2 * MARGIN
+    vb_h = (max_y - min_y) + 2 * MARGIN
 
-    doc = _Doc(page.stroke_width)
+    doc = _Doc()
     for prim in primitives:
         for cls, emit in _EMITTERS:
             if isinstance(prim, cls):

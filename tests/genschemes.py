@@ -98,7 +98,7 @@ def _try_general_offset(rng: random.Random, scheme: Scheme) -> None:
     off = model.Offset("?", axis.unit(), 1.0, model.OffsetKind.GENERAL,
                        axis=axis, plane_coord=plane)
     for pid in scheme.pipes:
-        if geometry.pipe_crosses_offset(scheme, off, pid):
+        if geometry.OffsetSide(off).crosses(scheme, scheme.pipe(pid)):
             d = model.pipe_direction(scheme, pid)
             from axoscheme.vectors import cross3, norm3
 

@@ -44,7 +44,7 @@ def test_dimension_to_block_anchor_value():
     dim = Dimension([DimPoint(DimPointKind.POINT, a),
                      DimPoint(DimPointKind.BLOCK, bid)],
                     Axis.Y, DimDirection(axis=Axis.X))
-    prims = layout.layout_dimension(s, ISO, dim)
+    prims = layout.layout_dimension(geometry.OffsetView(s), ISO, dim)
     texts = [p.text for p in prims if isinstance(p, GlyphText)]
     assert texts == ["1500"]
 
@@ -69,7 +69,7 @@ def test_elevation_on_block_target():
     length = model.pipe_length(s, pid)
     bid = edit.place_block(s, sym, pid, length / 2, updir=UpDir.YP)
     mark = ElevationMark(TargetKind.BLOCK, bid, 0.0, Axis.X, ShelfDir.XP)
-    prims = layout.layout_elevation(s, ISO, mark)
+    prims = layout.layout_elevation(geometry.OffsetView(s), ISO, mark)
     texts = [p.text for p in prims if isinstance(p, GlyphText)]
     assert texts == ["+0.500"]
 

@@ -215,6 +215,40 @@ def test_cascade_renumbers_positions():
     assert integrity_check(s) == []
 
 
+def test_cascade_drops_a_dimension_its_remaining_points_make_illegal():
+    """An L of three points dimensioned (x, dir y): without its corner's far
+    end the two left lie on the X axis, where (x, dir y) is not legal."""
+    s = new_scheme()
+    a, b, c = (edit.add_point(s, *xyz) for xyz in
+               ((0, 0, 0), (1000, 0, 0), (1000, 1000, 0)))
+    edit.add_pipe(s, a, b)
+    edit.add_pipe(s, b, c)
+    did = s.insert("dimensions", Dimension(
+        [DimPoint(DimPointKind.POINT, p) for p in (a, b, c)], Axis.X, DimDirection(axis=Axis.Y)))
+    assert integrity_check(s) == []
+    rep = edit.delete_point(s, c)
+    assert rep.dimensions == {did}
+    assert not s.dimensions
+    assert integrity_check(s) == []
+
+
+def test_cascade_drops_an_oblique_dimension_that_lost_its_only_carrier():
+    """A and B on an oblique line in the XY plane are dimensioned only while
+    a pipe runs along that line; the pipe goes with its far end X."""
+    s = new_scheme()
+    a, b, x = (edit.add_point(s, *xyz) for xyz in
+               ((0, 0, 0), (1000, 1000, 0), (2000, 2000, 0)))
+    edit.add_pipe(s, a, x)
+    did = s.insert("dimensions", Dimension(
+        [DimPoint(DimPointKind.POINT, a), DimPoint(DimPointKind.POINT, b)],
+        Axis.X, DimDirection(axis=Axis.Y)))
+    assert integrity_check(s) == []
+    rep = edit.delete_point(s, x)
+    assert rep.pipes == {1} and rep.dimensions == {did}
+    assert not s.dimensions
+    assert integrity_check(s) == []
+
+
 # -- renumbering ----------------------------------------------------------------
 
 def test_renumber_dense_identity():

@@ -3,8 +3,9 @@
 A Hypothesis state machine (MacIver, Hatfield-Dodds et al. 2019, "Hypothesis:
 A new approach to property-based testing", JOSS 4(43)) runs ``add_point``,
 ``add_pipe``, ``add_offset`` of both kinds, ``place_block``, ``move_point``
-and ``delete_point`` with arguments that are often illegal.  After every
-step:
+and ``delete_point`` with arguments that are often illegal, and inserts
+dimensions in an orientation that is legal for their points, so that later
+edits meet them.  After every step:
 
 - an accepted edit adds no ``integrity_check`` violation;
 - an ``EditError`` leaves the saved text unchanged;
@@ -19,10 +20,13 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 from samples_for_tests import build_offset_scheme, build_rich_scheme
 
-from axoscheme import edit, persist, samples
+from axoscheme import constraints, edit, persist, samples
 from axoscheme.model import (
     Attach,
     Axis,
+    Dimension,
+    DimPoint,
+    DimPointKind,
     EditError,
     LineStyle,
     LineType,
@@ -126,6 +130,22 @@ class EditMachine(RuleBasedStateMachine):
     @rule(data=st.data(), xyz=POINTS)
     def move_point(self, data, xyz):
         self.edit(edit.move_point, self.pick(data, "points"), *xyz)
+
+    @precondition(lambda self: len(self.s.points) >= 2)
+    @rule(data=st.data())
+    def add_dimension(self, data):
+        ids = data.draw(st.lists(st.sampled_from(sorted(self.s.points)),
+                                 min_size=2, max_size=3, unique=True))
+        points = [DimPoint(DimPointKind.POINT, pid) for pid in ids]
+        legal = sorted(constraints.legal_dimension_orientations(self.s, points), key=repr)
+        if not legal:
+            return
+        ext, direction = data.draw(st.sampled_from(legal))
+        before = set(map(str, integrity_check(self.s)))
+        did = self.s.insert("dimensions", Dimension(points, ext, direction))
+        if set(map(str, integrity_check(self.s))) - before:
+            # legal for its points, but a general plane splits it obliquely
+            del self.s.dimensions[did]
 
     @precondition(lambda self: self.s.points)
     @rule(data=st.data())

@@ -1,6 +1,7 @@
 import pytest
 
 from axoscheme import edit, geometry, layout, model, samples
+from axoscheme.geometry import OffsetView
 from axoscheme.layout import (
     ArcStroke,
     DotRun,
@@ -49,6 +50,11 @@ from samples_for_tests import build_offset_scheme
 ISO = geometry.projection_by_name("isometric")
 
 
+def whole(s):
+    """The selection of the whole scheme, as ``layout_scheme`` slices it."""
+    return geometry.slice_scheme(s, Slice())
+
+
 def texts_of(prims):
     return [p.text for p in prims if isinstance(p, GlyphText)]
 
@@ -60,7 +66,7 @@ def test_plain_pipe_single_stroke():
     a = edit.add_point(s, 0, 0, 0)
     b = edit.add_point(s, 1000, 0, 0)
     edit.add_pipe(s, a, b)
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     strokes = [p for p in prims if isinstance(p, Stroke)]
     assert len(strokes) == 1
 
@@ -71,7 +77,7 @@ def test_stretch_break_solid_dots_solid():
     b = edit.add_point(s, 0, 0, 1000)
     edit.add_pipe(s, a, b)
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, 300.0))
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     strokes = [p for p in prims if isinstance(p, Stroke)]
     dots = [p for p in prims if isinstance(p, DotRun)]
     assert len(strokes) == 2 and len(dots) == 1
@@ -89,7 +95,7 @@ def test_compression_break_wave_pair():
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, -200.0))
     for brk in s.breaks.values():
         brk.glyph = BreakGlyph.WAVES
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     waves = [p for p in prims if isinstance(p, WavePair)]
     assert len(waves) == 1
     assert waves[0].diameter == s.settings.breaks.wave_diameter
@@ -101,7 +107,7 @@ def test_compression_break_dotted_gap():
     b = edit.add_point(s, 0, 0, 1000)
     edit.add_pipe(s, a, b)
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, -200.0))
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     strokes = [p for p in prims if isinstance(p, Stroke)]
     dots = [p for p in prims if isinstance(p, DotRun)]
     assert len(strokes) == 2 and len(dots) == 1
@@ -118,11 +124,11 @@ def test_break_letters_symmetric_and_toggle():
     b = edit.add_point(s, 0, 0, 1000)
     edit.add_pipe(s, a, b)
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, 300.0))
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     letters = [p for p in prims if isinstance(p, GlyphText)]
     assert [p.text for p in letters] == ["а", "а"]
     s.settings.visibility.break_letters = False
-    prims = layout_pipes(s, ISO)
+    prims = layout_pipes(OffsetView(s), ISO, whole(s))
     assert not [p for p in prims if isinstance(p, GlyphText)]
 
 
@@ -136,11 +142,11 @@ def test_covered_pipe_hidden_until_enabled():
         "big", [SymbolSegment(-2, 0, 2, 0)], Attach.AXIAL, (10.0,)))
     edit.place_block(s, sym, pid, 50.0, updir=UpDir.ZP)
     assert geometry.fully_covered(geometry.coverage_intervals(s, pid), 100.0)
-    assert not [p for p in layout_pipes(s, ISO) if isinstance(p, Stroke)]
+    assert not [p for p in layout_pipes(OffsetView(s), ISO, whole(s)) if isinstance(p, Stroke)]
     s.settings.visibility.covered_pipes = True
     # drawn again, minus the coverage cut (everything is covered so only the
     # glyph-free strokes inside remain suppressed)
-    assert layout_pipes(s, ISO) == []
+    assert layout_pipes(OffsetView(s), ISO, whole(s)) == []
 
 
 def test_layout_walks_blocks_for_coverage_once(monkeypatch):
@@ -204,7 +210,7 @@ def test_fillet_joint_arc():
     p1 = edit.add_pipe(s, a, b)
     p2 = edit.add_pipe(s, b, c)
     s.insert("joints", model.Joint(p1, p2, model.JointKind.FILLET, 100.0))
-    arcs = [p for p in layout_pipes(s, ISO) if isinstance(p, ArcStroke)]
+    arcs = [p for p in layout_pipes(OffsetView(s), ISO, whole(s)) if isinstance(p, ArcStroke)]
     assert len(arcs) == 1
     assert arcs[0].radius == pytest.approx(100.0 * s.settings.scale)
 
@@ -222,7 +228,7 @@ def chain_scheme():
 
 def test_chain_dimension_true_values():
     s, dim = chain_scheme()
-    prims = layout_dimension(s, ISO, dim)
+    prims = layout_dimension(OffsetView(s), ISO, dim)
     assert texts_of(prims) == ["100", "150"]
 
 
@@ -234,7 +240,7 @@ def test_two_point_dimension_single_value():
     dim = Dimension([DimPoint(DimPointKind.POINT, a),
                      DimPoint(DimPointKind.POINT, b)],
                     Axis.Y, DimDirection(axis=Axis.X))
-    assert texts_of(layout_dimension(s, ISO, dim)) == ["2000"]
+    assert texts_of(layout_dimension(OffsetView(s), ISO, dim)) == ["2000"]
 
 
 def test_dimension_values_are_model_not_paper():
@@ -246,7 +252,7 @@ def test_dimension_values_are_model_not_paper():
     dim = Dimension([DimPoint(DimPointKind.POINT, a),
                      DimPoint(DimPointKind.POINT, b)],
                     Axis.X, DimDirection(pipe=pid))
-    assert texts_of(layout_dimension(s, ISO, dim)) == ["500"]
+    assert texts_of(layout_dimension(OffsetView(s), ISO, dim)) == ["500"]
 
 
 def _arrow_markers(prims):
@@ -265,7 +271,7 @@ def test_arrow_substitution_thresholds():
         dim = Dimension([DimPoint(DimPointKind.POINT, a),
                          DimPoint(DimPointKind.POINT, b)],
                         Axis.Y, DimDirection(axis=Axis.X))
-        return layout_dimension(s, view, dim)
+        return layout_dimension(OffsetView(s), view, dim)
 
     # paper gap 10mm >= 2*2.5: inside arrows point outward
     markers = _arrow_markers(dim_for(500))
@@ -290,7 +296,7 @@ def elevation_case(z):
     b = edit.add_point(s, 1000, 0, z)
     pid = edit.add_pipe(s, a, b)
     mark = ElevationMark(TargetKind.PIPE, pid, 500.0, Axis.X, ShelfDir.XP)
-    return texts_of(layout_elevation(s, ISO, mark))
+    return texts_of(layout_elevation(OffsetView(s), ISO, mark))
 
 
 def test_elevation_value_positive():
@@ -313,7 +319,7 @@ def slope_case(dz, fmt=SlopeFormat.PERCENT, precision=1, dx=1000.0):
     b = edit.add_point(s, dx, 0, dz)
     pid = edit.add_pipe(s, a, b)
     mark = SlopeMark(pid, 500.0, 3.0, fmt, precision)
-    return s, layout_slope(s, ISO, mark)
+    return s, layout_slope(OffsetView(s), ISO, mark)
 
 
 def test_slope_text_and_downhill_arrow():
@@ -345,7 +351,7 @@ def test_vertical_ratio_slope_raises():
     b = edit.add_point(s, 0, 0, 1000)
     pid = edit.add_pipe(s, a, b)
     with pytest.raises(layout.LayoutError):
-        layout_slope(s, ISO, SlopeMark(pid, 500.0, 3.0, SlopeFormat.RATIO, 0))
+        layout_slope(OffsetView(s), ISO, SlopeMark(pid, 500.0, 3.0, SlopeFormat.RATIO, 0))
 
 
 # -- texts and marks -------------------------------------------------------------------------
@@ -359,7 +365,7 @@ def test_single_leader_text():
                                  offset_vec=(200.0, 300.0)))
     lid = s.insert("pipe_leaders", LeaderToPipe(tid, pid, 500.0))
     s.texts[tid].main_leader = (TargetKind.PIPE, lid)
-    prims = layout_texts_and_marks(s, ISO)
+    prims = layout_texts_and_marks(OffsetView(s), ISO, whole(s))
     strokes = [p for p in prims if isinstance(p, Stroke)]
     assert texts_of(prims) == ["Ду50"]
     assert len(strokes) == 2  # shelf + one leader
@@ -374,7 +380,7 @@ def test_three_leader_text_one_shelf():
     lids = [s.insert("pipe_leaders", LeaderToPipe(tid, p, 500.0))
             for p in pipes]
     s.texts[tid].main_leader = (TargetKind.PIPE, lids[0])
-    prims = layout_texts_and_marks(s, ISO)
+    prims = layout_texts_and_marks(OffsetView(s), ISO, whole(s))
     strokes = [p for p in prims if isinstance(p, Stroke)]
     assert len(strokes) == 4  # one shelf + three leaders
     assert texts_of(prims) == ["сталь"]
@@ -389,9 +395,9 @@ def test_second_shelf_under_two_line_text():
                                  offset_vec=(200.0, 300.0)))
     lid = s.insert("pipe_leaders", LeaderToPipe(tid, pid, 500.0))
     s.texts[tid].main_leader = (TargetKind.PIPE, lid)
-    one = [p for p in layout_texts_and_marks(s, ISO) if isinstance(p, Stroke)]
+    one = [p for p in layout_texts_and_marks(OffsetView(s), ISO, whole(s)) if isinstance(p, Stroke)]
     s.settings.text.second_shelf = True
-    two = [p for p in layout_texts_and_marks(s, ISO) if isinstance(p, Stroke)]
+    two = [p for p in layout_texts_and_marks(OffsetView(s), ISO, whole(s)) if isinstance(p, Stroke)]
     assert len(two) == len(one) + 1
 
 
@@ -403,9 +409,9 @@ def test_hidden_mark_filtered_until_enabled():
     sp = s.insert("spec_props", SpecProps(1, SpecKind.FOR_PIPE))
     s.insert("position_marks", PositionMark(
         TargetKind.PIPE, pid, [sp], anchor_t=500.0, visible=False))
-    assert layout_texts_and_marks(s, ISO) == []
+    assert layout_texts_and_marks(OffsetView(s), ISO, whole(s)) == []
     s.settings.visibility.hidden_marks = True
-    prims = layout_texts_and_marks(s, ISO)
+    prims = layout_texts_and_marks(OffsetView(s), ISO, whole(s))
     assert texts_of(prims) == ["1"]
 
 
@@ -426,7 +432,8 @@ def test_text_leaders_keep_id_order_per_text():
                             (TargetKind.BLOCK, s.block_leaders)):
             want += [layout._leader_indicated_img(view, ISO, kind, lid)
                      for lid in sorted(store) if store[lid].text == tid]
-    starts = [p.points[0] for p in layout_texts_and_marks(s, ISO) if isinstance(p, Stroke)]
+    starts = [p.points[0] for p in layout_texts_and_marks(view, ISO, whole(s))
+              if isinstance(p, Stroke)]
     assert [p for p in starts if p in set(want)] == want
     assert len(want) > 12
 

@@ -84,7 +84,7 @@ def _add_image_pipe(s, proj, u0, u1, depth):
 
 def _images(s, proj):
     return [(span.p0, span.p1)
-            for chain in geometry.drawn_chains(s, proj, s.pipes).values()
+            for chain in geometry.OffsetView(s).drawn_chains(proj, s.pipes).values()
             for span in chain.spans]
 
 
@@ -252,7 +252,7 @@ def test_long_diagonal_over_the_cell_cap_matches_all_pairs():
     proj = projection_by_name("dimetric")
     long_diagonal(s, proj, 0.5, 0.7, 40.0, 250.0)
     pid = max(s.pipes)
-    (span,) = geometry.drawn_chains(s, proj, [pid])[pid].spans
+    (span,) = geometry.OffsetView(s).drawn_chains(proj, [pid])[pid].spans
     cell = _grid_cell(s, proj)
     cells = math.prod(abs(b - a) / cell for a, b in zip(span.p0, span.p1))
     assert cells > vectors.GRID_MAX_CELLS

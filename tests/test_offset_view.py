@@ -56,7 +56,7 @@ def assert_view_matches(scheme) -> int:
         assert repr(view.split_params(pid)) == splits, pid
         for oid, off in scheme.offsets.items():
             assert view.breaks.get((oid, pid)) is oracle_break_on(scheme, off, pid)
-            assert (geometry.pipe_crosses_offset(scheme, off, pid)
+            assert (geometry.OffsetSide(off).crosses(scheme, scheme.pipe(pid))
                     is oracle_pipe_crosses_offset(scheme, off, pid))
         for t in positions(scheme, pid):
             compared += 1
@@ -68,7 +68,10 @@ def assert_view_matches(scheme) -> int:
             for oid, off in scheme.offsets.items():
                 hit = oracle_offset_affects_pipe_pos(scheme, off, pid, t)
                 assert view.affects_pipe_pos(oid, pid, t) is hit, (pid, oid, t)
-                assert geometry.offset_affects_pipe_pos(scheme, off, pid, t) is hit
+                side = geometry.OffsetSide(off)
+                assert side.affects_pipe_pos(
+                    scheme.pipe(pid), geometry.break_on(scheme, off, pid), t,
+                    model.pipe_point_at(scheme, pid, t)) is hit
     for point_id in scheme.points:
         want = repr(oracle_point_displacement(scheme, point_id))
         assert repr(view.point_displacement(point_id)) == want, point_id

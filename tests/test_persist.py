@@ -21,7 +21,7 @@ from axoscheme.persist import (
     save_binary,
     save_text,
 )
-from axoscheme.persist import binary, spec
+from axoscheme.persist import binary, codec, spec
 from axoscheme.persist.codec import LINES, STR, Record
 from genschemes import random_scheme
 from samples_for_tests import build_offset_scheme
@@ -155,12 +155,12 @@ def test_corrupt_string_and_enum_codes():
     with pytest.raises(CorruptError):
         load_binary(blob.replace(b"valve", b"\xffalve", 1))
     with pytest.raises(CorruptError):
-        binary._R(bytes([len(LineType)])).enum(LineType)
+        codec.enum(LineType).read(binary._R(bytes([len(LineType)])))
     # optional enums store code + 1, with 0 for none
-    assert binary._R(bytes([0])).opt_enum(Axis) is None
-    assert binary._R(bytes([3])).opt_enum(Axis) is Axis.Z
+    assert codec.opt_enum(Axis).read(binary._R(bytes([0]))) is None
+    assert codec.opt_enum(Axis).read(binary._R(bytes([3]))) is Axis.Z
     with pytest.raises(CorruptError):
-        binary._R(bytes([4])).opt_enum(Axis)
+        codec.opt_enum(Axis).read(binary._R(bytes([4])))
 
 
 def test_unknown_future_section_skipped():
@@ -343,6 +343,25 @@ def test_savers_refuse_a_value_of_the_wrong_type_in_a_string_field():
     s.offsets[1].letter = 5
     for save in (save_text, save_binary):
         with pytest.raises(PersistError, match="is not a string"):
+            save(s)
+
+
+def _block_flip(s, value):
+    next(iter(s.blocks.values())).flip = value
+
+
+def _visibility_pipes(s, value):
+    s.settings.visibility.pipes = value
+
+
+@pytest.mark.parametrize("put", [_block_flip, _visibility_pipes])
+@pytest.mark.parametrize("value", [None, "no"])
+def test_savers_refuse_a_value_of_the_wrong_type_in_a_flag(put, value):
+    """A flag is saved only from a bool, not by the truth of what it holds."""
+    s = samples.reference_scheme()
+    put(s, value)
+    for save in (save_text, save_binary):
+        with pytest.raises(PersistError, match="is not a flag"):
             save(s)
 
 

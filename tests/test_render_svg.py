@@ -2,7 +2,7 @@ import xml.dom.minidom
 
 from axoscheme import geometry, layout, model
 from axoscheme.layout import DotRun, GlyphText, Marker, MarkerKind, Stroke
-from axoscheme.render_svg import PageSetup, render
+from axoscheme.render_svg import render
 from samples_for_tests import build_rich_scheme
 
 FONT = ("gost-a", 3.5, 1.0, False)
@@ -71,8 +71,8 @@ def test_negative_zero_normalized():
 def test_render_byte_identical_across_runs():
     s = build_rich_scheme()
     iso = geometry.projection_by_name("isometric")
-    svg1 = render(layout.layout_scheme(s, iso), PageSetup())
-    svg2 = render(layout.layout_scheme(s, iso), PageSetup())
+    svg1 = render(layout.layout_scheme(s, iso))
+    svg2 = render(layout.layout_scheme(s, iso))
     assert svg1 == svg2
     xml.dom.minidom.parseString(svg1)
 

@@ -5,6 +5,9 @@ The local-cut check agrees with the component walk it replaced, and
 samples, on random schemes and on schemes that edits now refuse to make.
 """
 
+import dataclasses
+
+import pytest
 from genschemes import random_scheme
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +19,15 @@ from axoscheme.constraints import check_local_offset
 from axoscheme.model import (
     Block,
     BreakLine,
+    EditError,
+    JointKind,
     LineStyle,
+    LineType,
     Offset,
     OffsetKind,
     Pipe,
     Point3,
+    SpecKind,
     UpDir,
     integrity_check,
 )
@@ -134,3 +141,74 @@ def test_validate_agrees_on_what_edits_refuse(tmp_path, capsys):
         found = integrity_check(s)
         assert [f"{v.rule} {v.subject}" for v in found] == want, apply.__name__
         assert validate_lines(s, tmp_path, capsys) == library_lines(s) == list(map(str, found))
+
+
+# -- a NaN or a colour of the wrong type fails its rule --------------------------
+
+NAN = float("nan")
+
+
+def first(store):
+    return next(iter(store.values()))
+
+
+def fillet(s):
+    return next(j for j in s.joints.values() if j.kind is JointKind.FILLET)
+
+
+def nan_font(**change):
+    def apply(s):
+        txt = first(s.texts)
+        txt.font = dataclasses.replace(txt.font, **change)
+    return apply
+
+
+def for_block(s):
+    return next(p for p in s.spec_props.values() if p.kind is SpecKind.FOR_BLOCK)
+
+
+NAN_RULES = [
+    ("block-stretch", lambda s: setattr(first(s.blocks), "stretch", NAN)),
+    ("symbol-stretch", lambda s: setattr(first(s.symbols), "stretch_default", NAN)),
+    ("symbol-cuts", lambda s: setattr(first(s.symbols), "cut_lengths",
+                                      (NAN,) * len(first(s.symbols).cut_lengths))),
+    ("joint-radius", lambda s: setattr(fillet(s), "radius", NAN)),
+    ("font-invalid", nan_font(height=NAN)),
+    ("font-invalid", nan_font(width_factor=NAN)),
+    ("grid-group", lambda s: setattr(s.axis_grid.x_groups[0], "step", NAN)),
+    ("props-qty", lambda s: setattr(for_block(s), "qty", NAN)),
+    ("settings-invalid", lambda s: setattr(s.settings, "occlusion_gap_len", NAN)),
+    ("settings-invalid", lambda s: setattr(s.settings, "scale", NAN)),
+    ("offset-magnitude", lambda s: setattr(first(s.offsets), "magnitude", NAN)),
+    ("offset-ort", lambda s: setattr(first(s.offsets), "ort", (NAN, 0.0, 0.0))),
+]
+
+
+@pytest.mark.parametrize("rule, apply", NAN_RULES,
+                         ids=[f"{rule}-{i}" for i, (rule, _) in enumerate(NAN_RULES)])
+def test_nan_fails_the_rule_of_its_field(rule, apply):
+    s = samples.reference_scheme()
+    assert integrity_check(s) == []
+    apply(s)
+    assert rule in {v.rule for v in integrity_check(s)}
+
+
+def test_place_block_refuses_a_nan_stretch():
+    s = samples.reference_scheme()
+    before = persist.save_text(s)
+    with pytest.raises(EditError, match="block-stretch"):
+        edit.place_block(s, 1, 2, 500.0, updir=UpDir.ZP, stretch=NAN)
+    assert persist.save_text(s) == before
+
+
+@pytest.mark.parametrize("color", [None, "1", 1.0])
+def test_a_colour_that_is_not_an_int_is_a_palette_violation(color):
+    s = samples.reference_scheme()
+    s.pipes[1].style.color = color
+    assert [f"{v.rule} {v.subject}" for v in integrity_check(s)] == ["style-palette pipe:1"]
+    s = samples.reference_scheme()
+    q = edit.add_point(s, -1000.0, 0.0, 0.0)
+    before = persist.save_text(s)
+    with pytest.raises(EditError, match="style-palette"):
+        edit.add_pipe(s, 1, q, LineStyle(color, LineType.SOLID))
+    assert persist.save_text(s) == before
