@@ -5,6 +5,7 @@ format error, 4 I/O error.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -126,12 +127,12 @@ def cmd_render(args) -> int:
     if args.show_hidden_marks:
         scheme.settings.visibility.hidden_marks = True
     if args.occlusion_gap is not None:
-        if args.occlusion_gap <= 0:
-            raise CliError("--occlusion-gap must be positive", EXIT_ARGS)
+        if not 0 < args.occlusion_gap < math.inf:
+            raise CliError("--occlusion-gap must be finite and positive", EXIT_ARGS)
         scheme.settings.occlusion_gap_len = args.occlusion_gap
     if args.scale is not None:
-        if args.scale <= 0:
-            raise CliError("--scale must be positive", EXIT_ARGS)
+        if not 0 < args.scale < math.inf:
+            raise CliError("--scale must be finite and positive", EXIT_ARGS)
         scheme.settings.scale = args.scale
     try:
         prims = layout.layout_scheme(scheme, proj, slc)

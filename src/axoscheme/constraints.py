@@ -3,20 +3,22 @@ orientation legality and block orientation enumeration.
 
 Everything here is a pure function over a scheme snapshot; the checks return
 ``model.Violation`` lists, empty when the subject is legal; both
-``model.integrity_check`` and the edits run them.  Which side of an offset a
-point or pipe position lies on is decided in ``geometry``.
+``model.integrity_check`` and the edits run them.  The offset checks and the
+dimension calculus take a ``geometry.OffsetView`` of the scheme, the one
+that decides, for layout as well, which side of an offset a point,
+dimension point or pipe position lies on; the caller builds it once.
 Collinearity and coplanarity use a tolerance of 1e-6 relative to the
 point-set diameter; unit-vector parallelism uses an absolute 1e-9.
 """
 
-from . import geometry, model
+from . import model
+from .geometry import OffsetView
 from .model import (
     MERGE_EPS,
     Attach,
     Axis,
     DimDirection,
     DimPoint,
-    DimPointKind,
     Scheme,
     UpDir,
     Violation,
@@ -53,17 +55,16 @@ def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> list[Violation]:
 _JOINS = "a pipe joins the displaced and fixed sides without a break"
 
 
-def check_pipe_offsets(scheme: Scheme, start: int, end: int) -> list[Violation]:
+def check_pipe_offsets(view: OffsetView, start: int, end: int) -> list[Violation]:
     """Offset legality of a candidate pipe between two existing points: it
     has no break line, so it may not cross a general offset plane nor join
     the two sides of a local cut.  One side test per offset."""
     pipe = model.Pipe(start, end)
     out: list[Violation] = []
-    for oid, off in scheme.offsets.items():
-        side = geometry.OffsetSide(off)
-        if not side.crosses(scheme, pipe):
+    for oid, off in view.scheme.offsets.items():
+        if not view.crosses(oid, pipe):
             continue
-        if side.local:
+        if view.side(oid).local:
             out.append(Violation("offset-local-cut", f"offset:{oid}", _JOINS))
         else:
             out.append(Violation("offset-missing-break", f"pipe:{start}-{end}",
@@ -71,27 +72,26 @@ def check_pipe_offsets(scheme: Scheme, start: int, end: int) -> list[Violation]:
     return out
 
 
-def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
+def check_general_offset(view: OffsetView, offset_id: int) -> list[Violation]:
     """Check every pipe and dimension line crossed by a general offset plane.
 
     Crossing pipes and crossing dimension lines must run along the plane
     normal; crossing pipes must carry a break line of this offset.
     """
+    scheme = view.scheme
     off = scheme.offset(offset_id)
-    side = geometry.OffsetSide(off)
     out: list[Violation] = []
     axis_u = off.axis.unit()
-    broken = {b.pipe for b in scheme.breaks.values() if b.offset == offset_id}
-    for pid in side.crossing_pipes(scheme):
+    for pid in view.crossing_pipes(offset_id):
         d = model.pipe_direction(scheme, pid)
         if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
             out.append(Violation("offset-oblique-pipe", f"pipe:{pid}",
                                  f"pipe crosses offset {off.letter!r} obliquely"))
-        if pid not in broken:
+        if (offset_id, pid) not in view.breaks:
             out.append(Violation("offset-missing-break", f"pipe:{pid}",
                                  f"crossing pipe lacks a break line of offset {off.letter!r}"))
     for did, dim in scheme.dimensions.items():
-        if not _splits(scheme, side, dim):
+        if not _splits(view, offset_id, dim.points):
             continue
         if dim.dim_dir.along_pipe:
             if model.pipe_length(scheme, dim.dim_dir.pipe) == 0.0:
@@ -105,56 +105,43 @@ def check_general_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
     return out
 
 
-def _dim_point_affected(scheme: Scheme, side: geometry.OffsetSide, dp: DimPoint) -> bool:
-    if dp.kind is DimPointKind.POINT:
-        return side.affects_point(scheme, dp.ref)
-    blk = scheme.block(dp.ref)
-    brk = geometry.break_on(scheme, side.off, blk.pipe) if side.local else None
-    p = None if side.index is None else model.pipe_point_at(scheme, blk.pipe, blk.dist_from_start)
-    return side.affects_pipe_pos(scheme.pipe(blk.pipe), brk, blk.dist_from_start, p)
-
-
-def _splits(scheme: Scheme, side: geometry.OffsetSide, dim: model.Dimension) -> bool:
+def _splits(view: OffsetView, offset_id: int, dim_points: list[DimPoint]) -> bool:
     """Whether the offset moves some but not all of a dimension's points."""
-    return len({_dim_point_affected(scheme, side, dp) for dp in dim.points}) == 2
+    return len({view.affects_dim_point(offset_id, dp) for dp in dim_points}) == 2
 
 
-def check_local_offset(scheme: Scheme, offset_id: int) -> list[Violation]:
+def check_local_offset(view: OffsetView, offset_id: int) -> list[Violation]:
     """Validate that a local offset's breaks form a clean graph cut.
 
     Removing the broken pipes must separate the displaced point set from its
     complement, with every break sitting on the boundary.  A component mixes
     the two sides exactly when one of its pipes has one end on each.
     """
-    off = scheme.offset(offset_id)
+    scheme = view.scheme
+    scheme.offset(offset_id)  # raises on an unknown id
 
     def cut_violation(message: str) -> list[Violation]:
         return [Violation("offset-local-cut", f"offset:{offset_id}", message)]
 
-    breaks = [b for b in scheme.breaks.values() if b.offset == offset_id]
-    if not breaks:
+    broken = [pid for oid, pid in view.breaks if oid == offset_id]
+    if not broken:
         return cut_violation("local offset has no break lines (empty cut)")
-    broken_pipes = {b.pipe for b in breaks}
-    displaced = off.displaced_points
-
-    for b in breaks:
-        pipe = scheme.pipe(b.pipe)
-        if (pipe.start in displaced) == (pipe.end in displaced):
-            return cut_violation(f"break on pipe {b.pipe} does not lie on the cut boundary")
-    for pid, pipe in scheme.pipes.items():
-        if (pipe.start in displaced) != (pipe.end in displaced) and pid not in broken_pipes:
-            return cut_violation(_JOINS)
+    for pid in broken:
+        if not view.crosses(offset_id, scheme.pipe(pid)):
+            return cut_violation(f"break on pipe {pid} does not lie on the cut boundary")
+    if not set(view.crossing_pipes(offset_id)) <= set(broken):
+        return cut_violation(_JOINS)
     return []
 
 
-def check_offset_dimensions(scheme: Scheme, offset_id: int) -> list[Violation]:
+def check_offset_dimensions(view: OffsetView, offset_id: int) -> list[Violation]:
     """The orientation rule of each dimension the offset splits, with rule
     (f) for this offset alone: on a valid scheme, all that adding it can
     break.  Rule (f) over every offset would give the same answer and
     double the time of ``add_offset`` on a scheme of 35 offsets."""
-    side = geometry.OffsetSide(scheme.offset(offset_id))
-    return [v for did, dim in scheme.dimensions.items() if _splits(scheme, side, dim)
-            for v in check_dimension_orientation(scheme, f"dim:{did}", dim, [side.off])]
+    return [v for did, dim in view.scheme.dimensions.items()
+            if _splits(view, offset_id, dim.points)
+            for v in check_dimension_orientation(view, f"dim:{did}", dim, [offset_id])]
 
 
 # -- dimension orientation legality ----------------------------------------
@@ -233,38 +220,13 @@ def _pipes_on_line(scheme: Scheme, base: Vec3, u: Vec3, tol: float) -> list[int]
 
 
 def legal_dimension_orientations(
-    scheme: Scheme, dim_points: list[DimPoint], offsets=None
+    view: OffsetView, dim_points: list[DimPoint], offsets=None
 ) -> set[tuple[Axis, DimDirection]]:
-    """All (extension axis, dimension direction) pairs legal for the points,
-    with rule (f) over ``offsets`` (default: every offset of the scheme)."""
+    """All (extension axis, dimension direction) pairs legal for the points
+    of ``view.scheme``, with rule (f) over the offset ids in ``offsets``
+    (default: every offset of the scheme)."""
+    scheme = view.scheme
     coords = [model.dim_point_at(scheme, dp) for dp in dim_points]
-
-    def affected(side, i: int) -> bool:
-        return _dim_point_affected(scheme, side, dim_points[i])
-
-    return _orientations(scheme, coords, affected, offsets)
-
-
-def legal_orientations_at(
-    scheme: Scheme, coords: list[Vec3]
-) -> set[tuple[Axis, DimDirection]]:
-    """Orientation calculus over raw coordinates.
-
-    Local offsets are resolved through the nearest stored point; intended for
-    schemes whose dimension points are plain spatial points.
-    """
-    def affected(side, i: int) -> bool:
-        if not side.local:
-            return side.side(coords[i])
-        for pid in side.off.displaced_points:
-            if dist3(scheme.point(pid).as_tuple(), coords[i]) < model.MERGE_EPS:
-                return True
-        return False
-
-    return _orientations(scheme, coords, affected)
-
-
-def _orientations(scheme, coords, affected, offsets=None) -> set[tuple[Axis, DimDirection]]:
     empty: set[tuple[Axis, DimDirection]] = set()
     if len(coords) < 2:
         return empty
@@ -280,16 +242,16 @@ def _orientations(scheme, coords, affected, offsets=None) -> set[tuple[Axis, Dim
     line_u = _line_direction(coords, tol)
 
     # (f) offsets moving a strict subset must stay within the plane/axis
-    for side in map(geometry.OffsetSide, scheme.offsets.values() if offsets is None else offsets):
-        flags = [affected(side, i) for i in range(len(coords))]
-        if not (any(flags) and not all(flags)):
+    for oid in scheme.offsets if offsets is None else offsets:
+        if not _splits(view, oid, dim_points):
             continue
+        ort = scheme.offsets[oid].ort
         if line_u is not None:
-            if norm3(cross3(side.off.ort, line_u)) > PARALLEL_TOL:
+            if norm3(cross3(ort, line_u)) > PARALLEL_TOL:
                 return empty
         else:
             normal = _plane_normal(coords, tol)
-            if normal is None or abs(dot3(side.off.ort, normal)) > PARALLEL_TOL:
+            if normal is None or abs(dot3(ort, normal)) > PARALLEL_TOL:
                 return empty
 
     if line_u is None:
@@ -334,11 +296,11 @@ def _orientations(scheme, coords, affected, offsets=None) -> set[tuple[Axis, Dim
     return result
 
 
-def check_dimension_orientation(scheme: Scheme, subject: str, dim: model.Dimension,
+def check_dimension_orientation(view: OffsetView, subject: str, dim: model.Dimension,
                                 offsets=None) -> list[Violation]:
     """A dimension of two or more points must have a legal orientation;
     ``offsets`` as in ``legal_dimension_orientations``."""
-    if (dim.ext_axis, dim.dim_dir) in legal_dimension_orientations(scheme, dim.points, offsets):
+    if (dim.ext_axis, dim.dim_dir) in legal_dimension_orientations(view, dim.points, offsets):
         return []
     how = "pipe" if dim.dim_dir.along_pipe else dim.dim_dir.axis.value
     return [Violation("dim-orientation", subject, f"({dim.ext_axis.value}, {how})"

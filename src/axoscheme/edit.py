@@ -73,7 +73,7 @@ def add_pipe(scheme: Scheme, a: int, b: int, style: LineStyle | None = None) -> 
         st = scheme.settings.pipe_style
         style = LineStyle(st.color, st.line_type)
     problems = (constraints.check_pipe_overlap(scheme, a, b)
-                + constraints.check_pipe_offsets(scheme, a, b))
+                + constraints.check_pipe_offsets(geometry.OffsetView(scheme), a, b))
     model._check_style(problems, f"pipe:{a}-{b}", style)
     if problems:
         raise _rejected(problems)
@@ -135,7 +135,6 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
         sign = 1.0 if spec.toward_positive else -1.0
         off = Offset(letter, mul3(spec.axis.unit(), sign), spec.magnitude,
                      OffsetKind.GENERAL, axis=spec.axis, plane_coord=spec.plane_coord)
-        breaks = [(pid, 0.0) for pid in geometry.OffsetSide(off).crossing_pipes(scheme)]
         legality = constraints.check_general_offset
     else:
         scheme.point(spec.displaced_seed)
@@ -147,6 +146,8 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
         breaks = spec.breaks
         legality = constraints.check_local_offset
     oid = scheme.insert("offsets", off)
+    if isinstance(spec, GeneralOffsetSpec):  # a break line on every pipe the plane crosses
+        breaks = [(pid, 0.0) for pid in geometry.OffsetView(scheme).crossing_pipes(oid)]
     st = scheme.settings.breaks
     problems: list[Violation] = []
     model._check_offset(problems, oid, off, {})  # its letter is a new one
@@ -154,7 +155,8 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
         brk = BreakLine(pipe, oid, st.paper_len, pos, st.label_shift_axial, st.label_shift_normal)
         bid = scheme.insert("breaks", brk)
         model._check_break(problems, scheme, f"break:{bid}", brk)
-    problems += legality(scheme, oid) + constraints.check_offset_dimensions(scheme, oid)
+    view = geometry.OffsetView(scheme)
+    problems += legality(view, oid) + constraints.check_offset_dimensions(view, oid)
     if problems:
         _remove_offset(scheme, oid)
         raise _rejected(problems)
@@ -301,9 +303,10 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     # 5. a dimension goes when what is left gives it no legal orientation.
     # One that kept its points keeps each offset's verdict on them (rule (f)),
     # so only its shape and its line's carrier pipes are tested again
+    view = geometry.OffsetView(scheme)
     for did, dim in list(scheme.dimensions.items()):
         offsets = () if len(dim.points) == npoints[did] else None
-        if constraints.check_dimension_orientation(scheme, f"dim:{did}", dim, offsets):
+        if constraints.check_dimension_orientation(view, f"dim:{did}", dim, offsets):
             del scheme.dimensions[did]
             gone["dimensions"].add(did)
 

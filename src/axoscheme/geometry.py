@@ -1,6 +1,6 @@
-"""Projection catalog, 3D->2D transform, offset sidedness and displacement,
-drawn pipe chains, block coverage, height-layer slicing and occlusion-gap
-computation.
+"""Projection catalog, 3D->2D transform, offset sidedness and displacement
+(one ``OffsetView`` per layout, validation or edit), drawn pipe chains,
+block coverage, height-layer slicing and occlusion-gap computation.
 
 The catalog covers the thirteen standard axonometric projections, the six
 plain orthographic views, six extra oblique frontal projections receding
@@ -9,10 +9,11 @@ pinned numeric literals so output never depends on the platform's libm.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 
 from . import model
-from .model import BreakLine, OffsetKind, Scheme, Slice
+from .model import BreakLine, DimPoint, DimPointKind, OffsetKind, Scheme, Slice
 from .vectors import Vec2, Vec3, add3, along3, cross3, dist2, dist3, dot3, grid_pairs, mul3, norm3, unit3
 
 
@@ -143,12 +144,12 @@ def project_point(proj: Projection, p: Vec3) -> tuple[Vec2, float]:
 #
 # Offsets move points, and every drawn object follows the points it hangs
 # off: the side of an offset a point or pipe position is on, and where it
-# ends up, is decided here and nowhere else, by ``OffsetSide``.  A layout
-# resolves every offset once in an ``OffsetView``, so a query there is dict
-# lookups plus arithmetic; a query on a bare scheme uses the same code.
+# ends up, is decided here and nowhere else, by ``OffsetSide``.  Only an
+# ``OffsetView`` builds one, so a layout, a validation or an edit resolves
+# each offset once and a query there is dict lookups plus arithmetic.
 
 class OffsetSide:
-    """One offset's sidedness data, resolved once.
+    """One offset's sidedness data, resolved once by an ``OffsetView``.
 
     ``disp`` is the displacement the offset adds; a general offset with a
     plane axis keeps that axis' coordinate index, the plane coordinate and
@@ -191,8 +192,14 @@ class OffsetSide:
         return self.affects_point(scheme, pipe.start) != self.affects_point(scheme, pipe.end)
 
     def crossing_pipes(self, scheme: Scheme) -> list[int]:
-        """Ids of the pipes that a general offset's plane crosses: ``crosses``
-        over every pipe, reading each end's one coordinate."""
+        """Ids of the pipes the offset crosses: ``crosses`` over every pipe,
+        reading each end's displaced-set membership or one coordinate."""
+        if self.local:
+            moved = self.off.displaced_points
+            return [pid for pid, pipe in scheme.pipes.items()
+                    if (pipe.start in moved) != (pipe.end in moved)]
+        if self.index is None:
+            return []
         coord, plane, sign = attrgetter("xyz"[self.index]), self.plane, self.sign
         pts = scheme.points
         return [pid for pid, pipe in scheme.pipes.items()
@@ -212,18 +219,9 @@ class OffsetSide:
         return min(max(frac, 0.0), 1.0) * length
 
 
-def break_on(scheme: Scheme, off, pipe_id: int) -> BreakLine | None:
-    """The break line of offset ``off`` on a pipe, or None (one scan of the
-    break lines; a layout reads ``break_index`` instead)."""
-    for brk in scheme.breaks.values():
-        if brk.pipe == pipe_id and scheme.offsets.get(brk.offset) is off:
-            return brk
-    return None
-
-
 def break_index(scheme: Scheme) -> dict[tuple[int, int], BreakLine]:
-    """The break line per (offset id, pipe id); the first in ``scheme.breaks``
-    order, as ``break_on`` finds it."""
+    """The break line per (offset id, pipe id): the first in ``scheme.breaks``
+    order.  Keys run in the order of each pair's first break."""
     index: dict[tuple[int, int], BreakLine] = {}
     for brk in scheme.breaks.values():
         index.setdefault((brk.offset, brk.pipe), brk)
@@ -234,14 +232,6 @@ def point_displacements(scheme: Scheme) -> dict[int, Vec3]:
     """Displacement vector per point id."""
     view = OffsetView(scheme)
     return {pid: view.point_displacement(pid) for pid in scheme.points}
-
-
-def apply_offsets(scheme: Scheme) -> dict[int, Vec3]:
-    """Displaced position per point id (original plus accumulated offsets)."""
-    return {
-        pid: add3(scheme.points[pid].as_tuple(), d)
-        for pid, d in point_displacements(scheme).items()
-    }
 
 
 def displacement_on_pipe(scheme: Scheme, pipe_id: int, t: float) -> Vec3:
@@ -279,20 +269,36 @@ class DrawnChain:
 
 
 class OffsetView:
-    """Every offset of one scheme resolved once, for one layout.
+    """Every offset of one scheme resolved once, for one layout, validation
+    or edit check.
 
     It holds each offset's ``OffsetSide``, the ``break_index``, each pipe's
-    ends and length, and each point's displacement, the last two filled in
-    as they are asked for.  It reads the scheme as it was when built: build
-    a new one after an edit.
+    ends and length, and each point's displacement, all filled in as they
+    are asked for: a check of one offset builds one side, and a check of a
+    candidate pipe, which has no break lines, builds no index.  It reads the
+    scheme as it was when built: build a new one after an edit.
     """
 
     def __init__(self, scheme: Scheme):
         self.scheme = scheme
-        self.sides = {oid: OffsetSide(off) for oid, off in scheme.offsets.items()}
-        self.breaks = break_index(scheme)
+        self._sides: dict[int, OffsetSide] = {}
         self._pipes: dict[int, tuple] = {}  # id -> (pipe, start, end, length)
         self._points: dict[int, Vec3] = {}  # id -> displacement
+
+    def side(self, offset_id: int) -> OffsetSide:
+        got = self._sides.get(offset_id)
+        if got is None:
+            got = self._sides[offset_id] = OffsetSide(self.scheme.offsets[offset_id])
+        return got
+
+    @cached_property
+    def sides(self) -> dict[int, OffsetSide]:
+        """Every offset's side, in ``scheme.offsets`` order."""
+        return {oid: self.side(oid) for oid in self.scheme.offsets}
+
+    @cached_property
+    def breaks(self) -> dict[tuple[int, int], BreakLine]:
+        return break_index(self.scheme)
 
     def pipe(self, pipe_id: int) -> tuple:
         """(pipe, start position, end position, length)."""
@@ -322,15 +328,32 @@ class OffsetView:
 
     def affects_pipe_pos(self, offset_id: int, pipe_id: int, t: float) -> bool:
         pipe, a, b, length = self.pipe(pipe_id)
-        return self.sides[offset_id].affects_pipe_pos(
+        return self.side(offset_id).affects_pipe_pos(
             pipe, self.breaks.get((offset_id, pipe_id)), t, along3(a, b, length, t))
+
+    def affects_dim_point(self, offset_id: int, dp: DimPoint) -> bool:
+        """Whether the offset moves a dimension point: its point, or its
+        block's anchor on the host pipe."""
+        if dp.kind is DimPointKind.POINT:
+            return self.side(offset_id).affects_point(self.scheme, dp.ref)
+        blk = self.scheme.block(dp.ref)
+        return self.affects_pipe_pos(offset_id, blk.pipe, blk.dist_from_start)
+
+    def crosses(self, offset_id: int, pipe) -> bool:
+        """Whether a pipe, stored or a candidate, crosses the offset."""
+        return self.side(offset_id).crosses(self.scheme, pipe)
+
+    def crossing_pipes(self, offset_id: int) -> list[int]:
+        """Ids of the stored pipes that cross the offset, in ``scheme.pipes`` order."""
+        return self.side(offset_id).crossing_pipes(self.scheme)
 
     def displacement_on_pipe(self, pipe_id: int, t: float) -> Vec3:
         pipe, a, b, length = self.pipe(pipe_id)
         p = along3(a, b, length, t)
         d = (0.0, 0.0, 0.0)
+        breaks = self.breaks  # read once: a cached property is slow to read in a loop
         for oid, side in self.sides.items():
-            if side.affects_pipe_pos(pipe, self.breaks.get((oid, pipe_id)), t, p):
+            if side.affects_pipe_pos(pipe, breaks.get((oid, pipe_id)), t, p):
                 d = add3(d, side.disp)
         return d
 

@@ -1010,13 +1010,14 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         _check_break(out, scheme, f"break:{bid}", brk)
 
     # local offset cuts read every pipe and the offset's breaks
-    from . import constraints  # deferred: constraints imports this module
+    from . import constraints, geometry  # deferred: both import this module
 
+    view = geometry.OffsetView(scheme)  # every offset pass asks this one view
     cut_damaged = {scheme.breaks[bid].offset for bid in broken["breaks"]}
     for oid, off in intact("offsets"):
         if off.kind is not OffsetKind.LOCAL or broken["pipes"] or oid in cut_damaged:
             continue
-        out.extend(constraints.check_local_offset(scheme, oid))
+        out.extend(constraints.check_local_offset(view, oid))
 
     # symbol defs
     for sid, sym in scheme.symbols.items():
@@ -1088,7 +1089,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
                  f"position {props.position} already used by props {seen_positions[props.position]}")
         else:
             seen_positions[props.position] = sid
-        if props.kind is SpecKind.FOR_BLOCK and not props.qty > 0:
+        if props.kind is SpecKind.FOR_BLOCK and not 0 < props.qty < math.inf:
             _bad(out, "props-qty", sub, "block quantity must be positive")
         if (props.extended is not None) != scheme.settings.spec_extended:
             _bad(out, "props-extended", sub,
@@ -1107,7 +1108,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
             continue
         if broken["pipes"]:
             continue  # the orientation calculus scans every pipe
-        out += constraints.check_dimension_orientation(scheme, sub, dim)
+        out += constraints.check_dimension_orientation(view, sub, dim)
 
     # elevation marks
     for eid, mark in intact("elevation_marks"):
@@ -1152,6 +1153,10 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         _bad(out, "settings-invalid", "settings", "occlusion gap length must be positive")
     if not st.scale > 0:
         _bad(out, "settings-invalid", "settings", "scale must be positive")
+    if st.dimension.precision < 0:
+        _bad(out, "settings-invalid", "settings", "dimension precision must be non-negative")
+    if st.slope.precision < 0:
+        _bad(out, "settings-invalid", "settings", "slope precision must be non-negative")
     if st.slice.z_min is not None and st.slice.z_max is not None and not (
         st.slice.z_min < st.slice.z_max
     ):
@@ -1162,7 +1167,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     if not any(broken.values()):
         for oid, off in scheme.offsets.items():
             if off.kind is OffsetKind.GENERAL and off.axis is not None:
-                out += constraints.check_general_offset(scheme, oid)
+                out += constraints.check_general_offset(view, oid)
     return out
 
 

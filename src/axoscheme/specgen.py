@@ -5,6 +5,7 @@ metres, block positions sum per-mark quantities.  Hidden marks contribute;
 visibility is a drawing matter only.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import model
@@ -68,7 +69,11 @@ def generate_spec(scheme: Scheme, mode: str = "six") -> SpecTable:
             total_m = sum(model.pipe_length(scheme, p) for p in pipes) / 1000.0
             qty = f"{total_m:.2f}"
         else:
-            qty = _qty_number(props.qty * len(marks))
+            total = props.qty * len(marks)
+            if not math.isfinite(total):
+                raise SpecGenError(f"position {props.position}: block quantity"
+                                   f" {props.qty:g} gives no finite total")
+            qty = _qty_number(total)
         row = [str(props.position), props.designation, props.name, qty,
                f"{props.unit_mass_kg:g}", props.note]
         if mode == "extended":

@@ -32,6 +32,7 @@ from axoscheme.model import (
     Text,
 )
 from axoscheme.persist.common import q32
+from oracles import oracle_pipe_crosses_offset
 
 CELL = 250.0  # lattice pitch, f32-exact
 
@@ -98,7 +99,7 @@ def _try_general_offset(rng: random.Random, scheme: Scheme) -> None:
     off = model.Offset("?", axis.unit(), 1.0, model.OffsetKind.GENERAL,
                        axis=axis, plane_coord=plane)
     for pid in scheme.pipes:
-        if geometry.OffsetSide(off).crosses(scheme, scheme.pipe(pid)):
+        if oracle_pipe_crosses_offset(scheme, off, pid):
             d = model.pipe_direction(scheme, pid)
             from axoscheme.vectors import cross3, norm3
 
@@ -214,7 +215,7 @@ def _add_dimension(rng: random.Random, scheme: Scheme) -> None:
     pts = [DimPoint(DimPointKind.POINT, pipe.start),
            DimPoint(DimPointKind.POINT, pipe.end)]
     legal = sorted(
-        constraints.legal_dimension_orientations(scheme, pts),
+        constraints.legal_dimension_orientations(geometry.OffsetView(scheme), pts),
         key=lambda k: (k[0].value, k[1].axis.value if k[1].axis else "",
                        k[1].pipe or 0))
     if not legal:

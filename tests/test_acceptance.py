@@ -12,11 +12,13 @@ from pathlib import Path
 from axoscheme import constraints, edit, geometry, layout, model, persist, render_svg, samples
 from axoscheme.constraints import (
     enumerate_block_orientations,
-    legal_orientations_at,
+    legal_dimension_orientations,
     resolve_block_frame,
 )
 from axoscheme.model import (
     Attach,
+    DimPoint,
+    DimPointKind,
     Slice,
     SlopeFormat,
     SymbolDef,
@@ -66,21 +68,27 @@ def test_criterion_02_compactness_anchor():
 
 # -- 3. dimension legality oracle ------------------------------------------------
 
-def _as_floats(pts):
-    return [tuple(map(float, p)) for p in pts]
+def _stored(scheme, lattice):
+    """The scheme, with a stored point at every lattice point (an existing
+    one where it is there already): its view, and the dimension point of
+    each lattice point."""
+    ids = {p: DimPoint(DimPointKind.POINT, edit.add_point(scheme, *map(float, p)))
+           for p in lattice}
+    return geometry.OffsetView(scheme), ids
 
 
-def _check_case(scheme, pts):
-    got = legal_orientations_at(scheme, _as_floats(pts))
-    want = oracle_dimension_orientations(scheme, pts)
+def _check_case(stored, pts):
+    view, ids = stored
+    got = legal_dimension_orientations(view, [ids[p] for p in pts])
+    want = oracle_dimension_orientations(view.scheme, pts)
     assert got == want, f"points {pts}: impl {got} oracle {want}"
 
 
 def test_criterion_03_dimension_legality_oracle():
     t0 = time.time()
-    empty = new_scheme()
     lattice5 = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
     lattice3 = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    empty = _stored(new_scheme(), lattice5)
 
     cases = 0
     for pts in itertools.combinations(lattice5, 2):
@@ -119,6 +127,7 @@ def test_criterion_03_dimension_legality_oracle():
         pa = edit.add_point(piped, *map(float, a))
         pb = edit.add_point(piped, *map(float, b))
         edit.add_pipe(piped, pa, pb)
+    piped = _stored(piped, lattice5)
     for _ in range(20_000):
         k = rng.randrange(2, 6)
         _check_case(piped, rng.sample(lattice5, k))

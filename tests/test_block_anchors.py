@@ -52,7 +52,7 @@ def test_dimension_to_block_anchor_value():
 def test_dimension_legality_with_block_anchor():
     s, a, b, pid, bid = scheme_with_block()
     pts = [DimPoint(DimPointKind.POINT, a), DimPoint(DimPointKind.BLOCK, bid)]
-    got = constraints.legal_dimension_orientations(s, pts)
+    got = constraints.legal_dimension_orientations(geometry.OffsetView(s), pts)
     names = {(e.value, d.axis.value if d.axis else "pipe") for e, d in got}
     assert names == {("y", "x"), ("z", "x")}
     assert model.integrity_check(s) == []

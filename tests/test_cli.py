@@ -179,6 +179,17 @@ def test_render_mode_flags(ref_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--scale", "--occlusion-gap"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_render_refuses_a_scale_or_gap_that_is_not_finite_and_positive(
+        flag, value, ref_file, tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    code = main(["render", str(ref_file), f"{flag}={value}", "-o", str(out)])
+    assert code == 2
+    assert f"{flag} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_filter_overrides(ref_file, capsys):
     assert main(["spec", str(ref_file), "--temperature", "150",
                  "--pressure", "2.5"]) == 0

@@ -9,13 +9,16 @@ from axoscheme.constraints import (
     check_local_offset,
     check_pipe_overlap,
     enumerate_block_orientations,
-    legal_orientations_at,
+    legal_dimension_orientations,
     resolve_block_frame,
 )
+from axoscheme.geometry import OffsetView
 from axoscheme.model import (
     Attach,
     Axis,
     BreakLine,
+    DimPoint,
+    DimPointKind,
     Offset,
     OffsetKind,
     SymbolDef,
@@ -67,14 +70,14 @@ def test_touching_collinear_segments_are_fine():
 def test_normal_crossing_pipe_is_ok():
     s, ids, pipes = scheme_with([(0, 0, 0), (0, 0, 1000)], [(0, 1)])
     oid = edit.add_offset(s, edit.GeneralOffsetSpec(Axis.Z, 500.0, 300.0))
-    assert check_general_offset(s, oid) == []
+    assert check_general_offset(OffsetView(s), oid) == []
 
 
 def test_oblique_crossing_pipe_flagged():
     s, ids, pipes = scheme_with([(0, 0, 0), (0, 1000, 1000)], [(0, 1)])
     off = s.insert("offsets", Offset("а", (0, 0, 1.0), 300.0,
                                      OffsetKind.GENERAL, Axis.Z, 500.0))
-    reports = check_general_offset(s, off)
+    reports = check_general_offset(OffsetView(s), off)
     assert any(r.rule == "offset-oblique-pipe" for r in reports)
 
 
@@ -82,7 +85,7 @@ def test_missing_break_flagged():
     s, ids, pipes = scheme_with([(0, 0, 0), (0, 0, 1000)], [(0, 1)])
     off = s.insert("offsets", Offset("а", (0, 0, 1.0), 300.0,
                                      OffsetKind.GENERAL, Axis.Z, 500.0))
-    reports = check_general_offset(s, off)
+    reports = check_general_offset(OffsetView(s), off)
     assert any(r.rule == "offset-missing-break" for r in reports)
 
 
@@ -106,7 +109,7 @@ def test_local_offset_clean_cut():
     s, ids, pipes = t_network()
     oid = edit.add_offset(s, edit.LocalOffsetSpec(
         (1.0, 0, 0), 300.0, [(pipes[0], 500.0)], displaced_seed=ids[1]))
-    assert check_local_offset(s, oid) == []
+    assert check_local_offset(OffsetView(s), oid) == []
     assert s.offsets[oid].displaced_points == {ids[1], ids[2], ids[3]}
 
 
@@ -115,14 +118,14 @@ def test_local_offset_mixed_sides_rejected():
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[0], ids[2]}))
     s.insert("breaks", BreakLine(pipes[0], off, 6.0, 500.0))
-    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
+    assert rules(check_local_offset(OffsetView(s), off)) == ["offset-local-cut"]
 
 
 def test_local_offset_without_breaks_rejected():
     s, ids, pipes = t_network()
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[2]}))
-    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
+    assert rules(check_local_offset(OffsetView(s), off)) == ["offset-local-cut"]
 
 
 def test_local_offset_separation_property():
@@ -175,10 +178,17 @@ def test_local_offset_unbroken_bridge_rejected():
     off = s.insert("offsets", Offset("а", (1.0, 0, 0), 300.0, OffsetKind.LOCAL,
                                      displaced_points={ids[1]}))
     s.insert("breaks", BreakLine(pipe_ids[0], off, 6.0, 500.0))
-    assert rules(check_local_offset(s, off)) == ["offset-local-cut"]
+    assert rules(check_local_offset(OffsetView(s), off)) == ["offset-local-cut"]
 
 
 # -- dimension orientation legality ---------------------------------------------
+
+def legal_at(s, coords):
+    """The calculus over the stored points at ``coords``, each added to the
+    scheme unless a point is already there."""
+    pts = [DimPoint(DimPointKind.POINT, edit.add_point(s, *c)) for c in coords]
+    return legal_dimension_orientations(OffsetView(s), pts)
+
 
 def names(orientations):
     out = set()
@@ -190,44 +200,44 @@ def names(orientations):
 
 def test_points_on_coordinate_axis():
     s = new_scheme()
-    got = legal_orientations_at(s, [(0, 0, 0), (100, 0, 0), (200, 0, 0)])
+    got = legal_at(s, [(0, 0, 0), (100, 0, 0), (200, 0, 0)])
     assert names(got) == {("y", "x"), ("z", "x")}
 
 
 def test_points_in_coordinate_plane():
     s = new_scheme()
-    got = legal_orientations_at(s, [(0, 0, 0), (100, 0, 0), (100, 50, 0)])
+    got = legal_at(s, [(0, 0, 0), (100, 0, 0), (100, 50, 0)])
     assert names(got) == {("x", "y"), ("y", "x")}
 
 
 def test_points_on_fully_oblique_pipe():
     s, ids, pipes = scheme_with([(0, 0, 0), (100, 100, 100)], [(0, 1)])
-    got = legal_orientations_at(s, [(0, 0, 0), (100, 100, 100)])
+    got = legal_at(s, [(0, 0, 0), (100, 100, 100)])
     tag = f"pipe{pipes[0]}"
     assert names(got) == {("x", tag), ("y", tag), ("z", tag)}
 
 
 def test_points_on_plane_parallel_pipe():
     s, ids, pipes = scheme_with([(0, 0, 0), (100, 100, 0)], [(0, 1)])
-    got = legal_orientations_at(s, [(0, 0, 0), (100, 100, 0)])
+    got = legal_at(s, [(0, 0, 0), (100, 100, 0)])
     tag = f"pipe{pipes[0]}"
     assert names(got) == {("x", tag), ("y", tag), ("x", "y"), ("y", "x")}
 
 
 def test_coincident_points_are_illegal():
     s = new_scheme()
-    assert legal_orientations_at(s, [(0, 0, 0), (0, 0, 0)]) == set()
+    assert legal_at(s, [(0, 0, 0), (0, 0, 0)]) == set()
 
 
 def test_non_coplanar_points_are_illegal():
     s = new_scheme()
     pts = [(0, 0, 0), (100, 0, 0), (0, 100, 0), (0, 0, 100), (100, 100, 100)]
-    assert legal_orientations_at(s, pts) == set()
+    assert legal_at(s, pts) == set()
 
 
 def test_oblique_line_without_pipe_is_illegal():
     s = new_scheme()
-    assert legal_orientations_at(s, [(0, 0, 0), (100, 100, 100)]) == set()
+    assert legal_at(s, [(0, 0, 0), (100, 100, 100)]) == set()
 
 
 def test_offset_along_the_line_keeps_set_legal():
@@ -237,7 +247,7 @@ def test_offset_along_the_line_keeps_set_legal():
     edit.add_pipe(s, a, b)
     edit.add_offset(s, edit.GeneralOffsetSpec(Axis.X, 1000.0, 300.0))
     # the x-offset stretches the set along its own line: still legal
-    got = legal_orientations_at(s, [(0.0, 0.0, 0.0), (2000.0, 0.0, 0.0)])
+    got = legal_at(s, [(0.0, 0.0, 0.0), (2000.0, 0.0, 0.0)])
     assert names(got) == {("y", "x"), ("z", "x")}
 
 
@@ -247,7 +257,7 @@ def test_offset_off_axis_makes_set_illegal():
     s, ids, pipes = scheme_with([(0, 0, 0), (2000, 2000, 0)], [(0, 1)])
     s.insert("offsets", Offset("а", (1.0, 0.0, 0.0), 300.0,
                                OffsetKind.GENERAL, Axis.X, 1000.0))
-    got = legal_orientations_at(s, [(0.0, 0.0, 0.0), (2000.0, 2000.0, 0.0)])
+    got = legal_at(s, [(0.0, 0.0, 0.0), (2000.0, 2000.0, 0.0)])
     assert got == set()
 
 
@@ -259,7 +269,7 @@ def test_offset_out_of_plane_makes_set_illegal():
                                displaced_points={ids[2]}))
     s.insert("breaks", BreakLine(pipes[1], 1, 6.0, 250.0))
     pts = [(0.0, 0.0, 0.0), (1000.0, 0.0, 0.0), (1000.0, 500.0, 0.0)]
-    assert legal_orientations_at(s, pts) == set()
+    assert legal_at(s, pts) == set()
 
 
 def test_agrees_with_rule_oracle_on_lattice_sample():
@@ -269,7 +279,7 @@ def test_agrees_with_rule_oracle_on_lattice_sample():
     for _ in range(400):
         k = rng.randrange(2, 6)
         pts = rng.sample(lattice, k)
-        got = legal_orientations_at(s, [tuple(map(float, p)) for p in pts])
+        got = legal_at(s, [tuple(map(float, p)) for p in pts])
         want = oracle_dimension_orientations(s, pts)
         assert got == want, f"points {pts}"
 
@@ -286,7 +296,7 @@ def test_agrees_with_rule_oracle_with_pipes():
         [(0, 0, 0), (2, 2, 2), (4, 4, 4), (1, 1, 1)],
     ]
     for pts in cases:
-        got = legal_orientations_at(s, [tuple(map(float, p)) for p in pts])
+        got = legal_at(s, [tuple(map(float, p)) for p in pts])
         want = oracle_dimension_orientations(s, pts)
         assert got == want, f"points {pts}"
 

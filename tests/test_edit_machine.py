@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 from samples_for_tests import build_offset_scheme, build_rich_scheme
 
-from axoscheme import constraints, edit, persist, samples
+from axoscheme import constraints, edit, geometry, persist, samples
 from axoscheme.model import (
     Attach,
     Axis,
@@ -137,7 +137,8 @@ class EditMachine(RuleBasedStateMachine):
         ids = data.draw(st.lists(st.sampled_from(sorted(self.s.points)),
                                  min_size=2, max_size=3, unique=True))
         points = [DimPoint(DimPointKind.POINT, pid) for pid in ids]
-        legal = sorted(constraints.legal_dimension_orientations(self.s, points), key=repr)
+        view = geometry.OffsetView(self.s)
+        legal = sorted(constraints.legal_dimension_orientations(view, points), key=repr)
         if not legal:
             return
         ext, direction = data.draw(st.sampled_from(legal))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from axoscheme import edit, geometry, model
 from axoscheme.geometry import (
-    apply_offsets,
+    OffsetView,
     occlusion_gaps,
     project_point,
     projection_by_name,
@@ -15,6 +15,7 @@ from axoscheme.geometry import (
     slice_scheme,
 )
 from axoscheme.model import Axis, Slice, new_scheme
+from axoscheme.vectors import add3
 from genschemes import random_scheme
 from oracles import oracle_occlusion, oracle_slice
 
@@ -111,6 +112,12 @@ def test_custom_projection_along_up_falls_back():
 
 
 # -- offsets ------------------------------------------------------------------------
+
+def apply_offsets(s):
+    """Displaced position per point id, from one view of the scheme."""
+    view = OffsetView(s)
+    return {pid: add3(p.as_tuple(), view.point_displacement(pid)) for pid, p in s.points.items()}
+
 
 def test_apply_offsets_displaces_far_side():
     s = new_scheme()

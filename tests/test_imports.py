@@ -59,3 +59,19 @@ def test_package_imports_are_read():
     trees = dict(parsed_modules())
     assert package_imports(trees["layout.py"]) >= {"constraints", "edit", "geometry", "model"}
     assert "constraints" in package_imports(trees["model.py"])
+
+
+def test_only_the_offset_view_builds_offset_sides():
+    """``geometry.OffsetView`` is the one reader of a scheme's offsets and
+    break lines: no other code names ``OffsetSide``, so none builds one."""
+    found = []
+    for name, tree in parsed_modules():
+        inside = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and (name, cls.name) == ("geometry.py", "OffsetView"):
+                inside = {id(node) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if named == "OffsetSide" and id(node) not in inside:
+                found.append((name, node.lineno))
+    assert found == []

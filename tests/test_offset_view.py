@@ -1,12 +1,12 @@
 """The resolved offset view against the per-query loops it replaced.
 
 ``geometry.OffsetView`` resolves a scheme's offsets once: a break index, each
-pipe's ends and each point's displacement.  Every answer it gives, and every
-per-query function that goes through it or through ``OffsetSide``, must be
-to the last bit what the oracles' rescanning loops give: at both pipe ends,
-just before and after every split and at every span midpoint, on generated,
-sample and mutated schemes.  Floats are compared by ``repr``, so a
-difference in sign of zero counts too.
+pipe's ends and each point's displacement.  Every answer it gives, to layout
+and to the checks alike, and every per-query function that goes through it,
+must be to the last bit what the oracles' rescanning loops give: at both
+pipe ends, just before and after every split, at every span midpoint and at
+every block anchor, on generated, sample and mutated schemes.  Floats are
+compared by ``repr``, so a difference in sign of zero counts too.
 """
 
 import copy
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axoscheme import geometry, model, samples
-from axoscheme.model import Axis, BreakLine, Offset, OffsetKind, Pipe, Point3
+from axoscheme.model import Axis, BreakLine, DimPoint, DimPointKind, Offset, OffsetKind, Pipe, Point3
 from axoscheme.vectors import add3
 from genschemes import random_scheme, riser_scheme
 from oracles import (
@@ -56,7 +56,7 @@ def assert_view_matches(scheme) -> int:
         assert repr(view.split_params(pid)) == splits, pid
         for oid, off in scheme.offsets.items():
             assert view.breaks.get((oid, pid)) is oracle_break_on(scheme, off, pid)
-            assert (geometry.OffsetSide(off).crosses(scheme, scheme.pipe(pid))
+            assert (view.crosses(oid, scheme.pipe(pid))
                     is oracle_pipe_crosses_offset(scheme, off, pid))
         for t in positions(scheme, pid):
             compared += 1
@@ -68,16 +68,18 @@ def assert_view_matches(scheme) -> int:
             for oid, off in scheme.offsets.items():
                 hit = oracle_offset_affects_pipe_pos(scheme, off, pid, t)
                 assert view.affects_pipe_pos(oid, pid, t) is hit, (pid, oid, t)
-                side = geometry.OffsetSide(off)
-                assert side.affects_pipe_pos(
-                    scheme.pipe(pid), geometry.break_on(scheme, off, pid), t,
-                    model.pipe_point_at(scheme, pid, t)) is hit
+    for oid, off in scheme.offsets.items():
+        assert view.crossing_pipes(oid) == [
+            pid for pid in scheme.pipes if oracle_pipe_crosses_offset(scheme, off, pid)]
+        for bid, blk in scheme.blocks.items():
+            hit = oracle_offset_affects_pipe_pos(scheme, off, blk.pipe, blk.dist_from_start)
+            assert view.affects_dim_point(oid, DimPoint(DimPointKind.BLOCK, bid)) is hit
     for point_id in scheme.points:
         want = repr(oracle_point_displacement(scheme, point_id))
         assert repr(view.point_displacement(point_id)) == want, point_id
-        for off in scheme.offsets.values():
-            assert (geometry.OffsetSide(off).affects_point(scheme, point_id)
-                    is oracle_offset_affects_point(scheme, off, point_id))
+        for oid, off in scheme.offsets.items():
+            hit = oracle_offset_affects_point(scheme, off, point_id)
+            assert view.affects_dim_point(oid, DimPoint(DimPointKind.POINT, point_id)) is hit
     assert repr(geometry.point_displacements(scheme)) == repr(
         {p: oracle_point_displacement(scheme, p) for p in scheme.points})
     return compared
@@ -105,6 +107,31 @@ def test_first_break_wins_like_the_scan():
     assert view.breaks[(brk.offset, brk.pipe)] is brk
     assert view.split_params(brk.pipe) == [(brk.placement, brk.offset)]
     assert_view_matches(s)
+
+
+def test_validation_resolves_offsets_once(monkeypatch):
+    """One ``integrity_check`` builds the break index once and each offset's
+    side once, on the offset sample and on a riser stack."""
+    builds, sides = [], []
+    index, side = geometry.break_index, geometry.OffsetSide
+
+    def counted_index(scheme):
+        builds.append(scheme)
+        return index(scheme)
+
+    def counted_side(off):
+        sides.append(off)
+        return side(off)
+
+    monkeypatch.setattr(geometry, "break_index", counted_index)
+    monkeypatch.setattr(geometry, "OffsetSide", counted_side)
+    for s in (build_offset_scheme(), riser_scheme()):
+        assert s.breaks and s.dimensions
+        builds.clear()
+        sides.clear()
+        assert model.integrity_check(s) == []
+        assert builds == [s]
+        assert sorted(map(id, sides)) == sorted(map(id, s.offsets.values()))
 
 
 # -- mutations ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from oracles import oracle_local_cut
 from samples_for_tests import build_offset_scheme, build_rich_scheme
 
-from axoscheme import cli, edit, persist, samples
+from axoscheme import cli, edit, persist, samples, specgen
 from axoscheme.constraints import check_local_offset
+from axoscheme.geometry import OffsetView
 from axoscheme.model import (
     Block,
     BreakLine,
@@ -51,7 +52,7 @@ def test_local_cut_matches_the_component_walk():
     for name, s in corpus():
         for oid, off in s.offsets.items():
             if off.kind is OffsetKind.LOCAL:
-                assert check_local_offset(s, oid) == oracle_local_cut(s, oid), name
+                assert check_local_offset(OffsetView(s), oid) == oracle_local_cut(s, oid), name
                 checked += 1
     assert checked >= 20
 
@@ -72,7 +73,7 @@ def test_local_cut_matches_the_component_walk_on_mutated_cuts(seed, data):
                                      displaced_points=displaced))
     for pid in broken:
         s.insert("breaks", BreakLine(pid, oid, 6.0, 0.0))
-    assert check_local_offset(s, oid) == oracle_local_cut(s, oid)
+    assert check_local_offset(OffsetView(s), oid) == oracle_local_cut(s, oid)
 
 
 # -- the library and the command line agree ---------------------------------------
@@ -211,4 +212,40 @@ def test_a_colour_that_is_not_an_int_is_a_palette_violation(color):
     before = persist.save_text(s)
     with pytest.raises(EditError, match="style-palette"):
         edit.add_pipe(s, 1, q, LineStyle(color, LineType.SOLID))
+    assert persist.save_text(s) == before
+
+
+# -- values that validated, then crashed a command ---------------------------------
+
+@pytest.mark.parametrize("qty", [float("inf"), float("-inf"), NAN])
+def test_a_block_quantity_that_is_not_finite_fails_validate_and_spec(qty, tmp_path, capsys):
+    s = samples.reference_scheme()
+    for_block(s).qty = qty
+    sid = next(sid for sid, p in s.spec_props.items() if p is for_block(s))
+    assert [str(v) for v in integrity_check(s)] == [
+        f"props-qty props:{sid}: block quantity must be positive"]
+    with pytest.raises(specgen.SpecGenError, match="no finite total"):
+        specgen.generate_spec(s)
+    assert validate_lines(s, tmp_path, capsys) == library_lines(s)
+    assert cli.main(["spec", str(tmp_path / "scheme.asts")]) == 1
+    assert "no finite total" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["dimension", "slope"])
+def test_a_negative_precision_fails_validate(name, tmp_path, capsys):
+    s = samples.reference_scheme()
+    getattr(s.settings, name).precision = -1
+    assert [str(v) for v in integrity_check(s)] == [
+        f"settings-invalid settings: {name} precision must be non-negative"]
+    assert validate_lines(s, tmp_path, capsys) == library_lines(s)
+
+
+def test_move_point_refuses_a_move_under_a_negative_slope_precision():
+    """Pipe 5 of the reference sample carries a slope text; its slope
+    would have been written at precision -1 after the point had moved."""
+    s = samples.reference_scheme()
+    s.settings.slope.precision = -1
+    before = persist.save_text(s)
+    with pytest.raises(EditError, match="settings-invalid"):
+        edit.move_point(s, 6, 5340.0, 2000.0, 2440.0)
     assert persist.save_text(s) == before
