@@ -4,6 +4,12 @@ placement, cascade deletion, position renumbering, slope-text sync.
 An edit of a valid scheme leaves it valid, or raises ``EditError`` and
 leaves it unchanged: each edit checks what it can change with the rule code
 of ``integrity_check`` (``move_point`` runs the whole check).
+
+``add_point`` and ``add_pipe`` ask the scheme's spatial index
+(``Scheme.index``) which stored points and pipes to test, and the edits
+keep it up to date.  Code that writes a stored point's coordinates or a
+pipe's ends in place, or replaces an entry under the same id, calls
+``scheme.drop_index()`` before the next edit.
 """
 
 import math
@@ -59,11 +65,12 @@ def _rejected(problems: list[Violation]) -> EditError:
 # -- points and pipes --------------------------------------------------------
 
 def add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
-    """Insert a point, merging with an existing one within the tolerance."""
+    """Insert a point, merging with the first stored one (in dict order)
+    within the tolerance; the spatial index names the points to test."""
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise EditError("point coordinates must be finite")
-    for pid, p in scheme.points.items():
-        if dist3(p.as_tuple(), (x, y, z)) < model.MERGE_EPS:
+    for pid in scheme.index().points_near((x, y, z)):
+        if dist3(scheme.points[pid].as_tuple(), (x, y, z)) < model.MERGE_EPS:
             return pid
     return scheme.insert("points", Point3(x, y, z))
 
@@ -100,9 +107,10 @@ def move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> N
     if problems:
         pt.x, pt.y, pt.z = old
         raise EditError("; ".join(map(str, problems[:3])))
-    for pid, pipe in scheme.pipes.items():
-        if point_id in (pipe.start, pipe.end):
-            sync_slope_texts(scheme, pid)
+    pipes = [pid for pid, pipe in scheme.pipes.items() if point_id in (pipe.start, pipe.end)]
+    scheme.refile(point_id, pipes)
+    for pid in pipes:
+        sync_slope_texts(scheme, pid)
 
 
 # -- offsets -----------------------------------------------------------------
@@ -296,9 +304,8 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
 
     # nothing refers to what the rules removed, so there is no further cascade
     for name, ids in gone.items():
-        store = getattr(scheme, name)
         for oid in ids:
-            del store[oid]
+            scheme.remove(name, oid)
 
     # 5. a dimension goes when what is left gives it no legal orientation.
     # One that kept its points keeps each offset's verdict on them (rule (f)),

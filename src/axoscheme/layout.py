@@ -446,6 +446,13 @@ def _dim_point_img(view: OffsetView, proj: Projection, dp) -> Vec2:
     return _block_origin_img(view, proj, dp.ref)
 
 
+def _digits(precision: int) -> int:
+    """A stored precision, as the digits a value is written with."""
+    if precision < 0:
+        raise LayoutError(f"precision {precision} is negative")
+    return precision
+
+
 def layout_dimension(view: OffsetView, proj: Projection, dim) -> list[Primitive]:
     """Chain dimension: sorted points, extension lines, per-segment true-value
     texts, and the arrows-to-ticks substitution when space runs out."""
@@ -489,7 +496,7 @@ def layout_dimension(view: OffsetView, proj: Projection, dim) -> list[Primitive]
                           st.color))
     out.append(Stroke((feet[0], feet[-1]), st.color))
 
-    prec = st.precision
+    prec = _digits(st.precision)
     arrow = st.arrow_len
     dfont = font_key(st.font)
     angle = math.degrees(math.atan2(dim2[1], dim2[0]))
@@ -574,7 +581,7 @@ def layout_slope(view: OffsetView, proj: Projection, mark) -> list[Primitive]:
     if run == 0.0 and mark.format is not SlopeFormat.ANGLE:
         raise LayoutError(
             f"slope mark on a vertical pipe cannot use {mark.format.value} format")
-    value = edit.format_slope(rise, run, mark.format, mark.precision)
+    value = edit.format_slope(rise, run, mark.format, _digits(mark.precision))
     if value is None:
         raise LayoutError("slope value is not representable in the stored format")
     at = _pipe_pos_img(view, proj, mark.pipe, mark.t)
@@ -782,7 +789,7 @@ def _overall_dim(out: list, scheme: Scheme, feet, dim_offset: float) -> None:
     out.append(Stroke((a, b), st.color))
     out.append(Marker(MarkerKind.ARROW, a, mul2(d2, -1.0), st.arrow_len, st.color))
     out.append(Marker(MarkerKind.ARROW, b, d2, st.arrow_len, st.color))
-    text = f"{abs(last_v - first_v):.{st.precision}f}"
+    text = f"{abs(last_v - first_v):.{_digits(st.precision)}f}"
     dfont = font_key(st.font)
     mid = mul2(add2(a, b), 0.5)
     at = add2(mid, mul2(rot90(d2), st.text_offset))

@@ -12,7 +12,19 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .vectors import Vec2, Vec3, along3, cross3, dist3, dot3, grid_pairs, norm3, sub3, unit3
+from .vectors import (
+    BoxGrid,
+    Vec2,
+    Vec3,
+    along3,
+    cross3,
+    dist3,
+    dot3,
+    grid_pairs,
+    norm3,
+    sub3,
+    unit3,
+)
 
 # Point coincidence tolerance, model mm: closer than this merges to one point.
 MERGE_EPS = 1e-6
@@ -572,6 +584,9 @@ class Scheme:
     settings: Settings = field(default_factory=Settings)
     # allocation counters are session state, not document content
     next_ids: dict[str, int] = field(default_factory=dict, compare=False)
+    # the spatial index the edits probe, session state too; see index()
+    _index: "SpatialIndex | None" = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     # -- identifier allocation ------------------------------------------
 
@@ -583,7 +598,42 @@ class Scheme:
     def insert(self, collection: str, obj) -> int:
         nid = self.new_id(collection)
         getattr(self, collection)[nid] = obj
+        if self._index is not None:
+            self._index.add(self, collection, nid)
         return nid
+
+    def remove(self, collection: str, oid: int) -> None:
+        del getattr(self, collection)[oid]
+        if self._index is not None:
+            self._index.discard(collection, oid)
+
+    # -- spatial index ----------------------------------------------------
+
+    def index(self) -> "SpatialIndex":
+        """The spatial index of the points and pipes, for the edits' probes.
+
+        It is built on first use, and built again when the size of either
+        collection differs from what it holds.  ``insert``, ``remove`` and
+        ``refile`` keep it up to date; a caller that writes a stored
+        point's coordinates or a pipe's ends in place, or replaces an entry
+        under the same id, calls ``drop_index`` before the next edit.
+        """
+        idx = self._index
+        if (idx is None or len(idx.points) != len(self.points)
+                or len(idx.pipes) != len(self.pipes)):
+            idx = self._index = SpatialIndex(self)
+        return idx
+
+    def drop_index(self) -> None:
+        """Forget the spatial index; the next probe builds it afresh."""
+        self._index = None
+
+    def refile(self, point_id: int, pipe_ids) -> None:
+        """File a point that moved, and its pipes, again in the index."""
+        if self._index is not None:
+            self._index.add(self, "points", point_id)
+            for pid in pipe_ids:
+                self._index.add(self, "pipes", pid)
 
     # -- checked accessors ----------------------------------------------
 
@@ -908,6 +958,91 @@ def _pipe_margin(length: float, lmax: float) -> float:
     return 4e-9 * lmax * (lmax / length + 1.0)
 
 
+# -- spatial index ---------------------------------------------------------------
+#
+# Adding a point or a pipe probes a hash grid of the stored points and pipes
+# (Teschner, Heidelberger, Mueller, Pomeranets & Gross 2003, "Optimized
+# spatial hashing for collision detection of deformable objects") instead of
+# testing every one.  A probe returns candidates in dict order, and a
+# superset of the hits, so its first hit is the first hit of a scan.
+
+# A point is filed at one cell of this size.  A probe takes the box 2 *
+# MERGE_EPS around its query: dist3 < MERGE_EPS holds only within MERGE_EPS
+# and its rounding, and rounding is monotone, so no hit falls outside.
+POINT_CELL = 4 * MERGE_EPS
+
+
+def _pipe_box(scheme: Scheme, pipe: Pipe) -> tuple[Vec3, Vec3, float]:
+    """A pipe's box corners and length, all NaN for a missing end."""
+    pts = scheme.points
+    if pipe.start not in pts or pipe.end not in pts:
+        return (math.nan,) * 3, (math.nan,) * 3, math.nan
+    a, b = pts[pipe.start].as_tuple(), pts[pipe.end].as_tuple()
+    return tuple(map(min, a, b)), tuple(map(max, a, b)), dist3(a, b)
+
+
+class SpatialIndex:
+    """The points and pipes of a scheme, each in a ``vectors.BoxGrid``.
+
+    Points are filed at their coordinates and pipes by their bare boxes, so
+    a pipe with a missing or non-finite end is loose.  The pipe grid's cell
+    is the median box extent, chosen again each time the number of pipes
+    doubles, which costs amortised O(1) per pipe.  ``lmax`` is at least the
+    longest finite stored pipe; it does not shrink on a move or a delete,
+    which only widens a probe.
+    """
+
+    def __init__(self, scheme: Scheme):
+        self.points = BoxGrid(POINT_CELL)
+        for pid in scheme.points:
+            self.add(scheme, "points", pid)
+        self._rebucket(scheme)
+
+    def _rebucket(self, scheme: Scheme) -> None:
+        boxes = {pid: _pipe_box(scheme, pipe) for pid, pipe in scheme.pipes.items()}
+        sizes = sorted(d for d in (max(h - l for l, h in zip(lo, hi))
+                                   for lo, hi, _ in boxes.values()) if 0 < d < math.inf)
+        self.pipes = BoxGrid(sizes[len(sizes) // 2] if sizes else 1.0)
+        self.lmax = 0.0
+        for pid, (lo, hi, length) in boxes.items():
+            self._file_pipe(pid, lo, hi, length)
+        self._bucketed = len(boxes)
+
+    def _file_pipe(self, pid: int, lo: Vec3, hi: Vec3, length: float) -> None:
+        self.pipes.add(pid, lo, hi)
+        if length < math.inf:
+            self.lmax = max(self.lmax, length)
+
+    def add(self, scheme: Scheme, collection: str, oid: int) -> None:
+        """File a stored point or pipe, or file it again after it moved."""
+        if collection == "points":
+            c = scheme.points[oid].as_tuple()
+            self.points.add(oid, c, c)
+        elif collection == "pipes":
+            self._file_pipe(oid, *_pipe_box(scheme, scheme.pipes[oid]))
+            if len(self.pipes) >= 2 * self._bucketed:
+                self._rebucket(scheme)
+
+    def discard(self, collection: str, oid: int) -> None:
+        if collection in ("points", "pipes"):
+            getattr(self, collection).discard(oid)
+
+    def points_near(self, c: Vec3) -> list[int]:
+        """Ids of the points that may lie within MERGE_EPS of c, in dict order."""
+        e = 2 * MERGE_EPS
+        return self.points.near(tuple(v - e for v in c), tuple(v + e for v in c))
+
+    def pipes_near(self, a: Vec3, b: Vec3) -> list[int]:
+        """Ids of the pipes that ``_segments_overlap(a, b, ...)`` may accept,
+        in dict order, for a candidate of nonzero length.  The candidate's
+        box grows by ``_pipe_margin``, as in ``integrity_check``."""
+        length = dist3(a, b)
+        m = _pipe_margin(length, max(self.lmax, length))
+        return self.pipes.near(
+            [math.nextafter(min(p, q) - m, -math.inf) for p, q in zip(a, b)],
+            [math.nextafter(max(p, q) + m, math.inf) for p, q in zip(a, b)])
+
+
 def integrity_check(scheme: Scheme) -> list[Violation]:
     """Validate referential integrity and every per-type invariant.
 
@@ -1149,9 +1284,9 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # settings
     st = scheme.settings
-    if not st.occlusion_gap_len > 0:
+    if not 0 < st.occlusion_gap_len < math.inf:
         _bad(out, "settings-invalid", "settings", "occlusion gap length must be positive")
-    if not st.scale > 0:
+    if not 0 < st.scale < math.inf:
         _bad(out, "settings-invalid", "settings", "scale must be positive")
     if st.dimension.precision < 0:
         _bad(out, "settings-invalid", "settings", "dimension precision must be non-negative")

@@ -1,5 +1,6 @@
 """Tuple-based 2D/3D vector helpers used across the kernel, and the uniform
-grid that finds the boxes that may touch among many."""
+grid that finds the boxes that may touch among many, at once or one query
+at a time."""
 
 import itertools
 import math
@@ -99,6 +100,21 @@ def rot90(a: Vec2) -> Vec2:
 GRID_MAX_CELLS = 64
 
 
+def _cells(lo, hi, cell: float):
+    """The keys of the grid cells the box from ``lo`` to ``hi`` enters, or
+    None when it cannot be entered: a non-finite bound, or more than
+    ``GRID_MAX_CELLS`` cells."""
+    try:
+        ranges = [range(math.floor(a / cell), math.floor(b / cell) + 1)
+                  for a, b in zip(lo, hi)]
+    except (OverflowError, ValueError):  # an infinite or NaN bound
+        return None
+    # counted in Python ints: a box may span more cells than a range holds
+    if math.prod(r.stop - r.start for r in ranges) > GRID_MAX_CELLS:
+        return None
+    return itertools.product(*ranges)
+
+
 def grid_pairs(boxes: list[tuple[tuple, tuple, float]]) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of boxes that may touch.
 
@@ -125,17 +141,11 @@ def grid_pairs(boxes: list[tuple[tuple, tuple, float]]) -> list[tuple[int, int]]
     grid: dict[tuple[int, ...], list[int]] = {}
     loose: list[int] = []
     for i, (lo, hi) in enumerate(bounds):
-        try:
-            first = tuple([math.floor(v / cell) for v in lo])
-            last = tuple([math.floor(v / cell) for v in hi])
-        except (OverflowError, ValueError):  # an infinite or NaN bound
+        cells = _cells(lo, hi, cell)
+        if cells is None:
             loose.append(i)
             continue
-        # counted in Python ints: a box may span more cells than a range holds
-        if math.prod(b - a + 1 for a, b in zip(first, last)) > GRID_MAX_CELLS:
-            loose.append(i)
-            continue
-        for key in itertools.product(*[range(a, b + 1) for a, b in zip(first, last)]):
+        for key in cells:
             grid.setdefault(key, []).append(i)
 
     pairs: set[tuple[int, int]] = set()
@@ -148,3 +158,78 @@ def grid_pairs(boxes: list[tuple[tuple, tuple, float]]) -> list[tuple[int, int]]
             if j != i:
                 pairs.add((min(i, j), max(i, j)))
     return sorted(pairs)
+
+
+class BoxGrid:
+    """Boxes filed under keys in a uniform grid of a fixed cell, for one
+    query box at a time.
+
+    A box is given by its corners of least and greatest coordinates.  Each
+    key keeps the rank of its first filing, so that ``near`` answers in
+    filing order.  A box that cannot be entered (non-finite, or over
+    ``GRID_MAX_CELLS`` cells) is kept loose, and every query returns it.
+    """
+
+    def __init__(self, cell: float):
+        self.cell = cell
+        self.boxes: dict = {}  # key -> (rank, lo, hi)
+        self._grid: dict[tuple[int, ...], list] = {}
+        self._loose: set = set()
+        self._next_rank = 0
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def _enter(self, key, lo, hi) -> None:
+        cells = _cells(lo, hi, self.cell)
+        if cells is None:
+            self._loose.add(key)
+            return
+        for c in cells:
+            self._grid.setdefault(c, []).append(key)
+
+    def _leave(self, key, lo, hi) -> None:
+        cells = _cells(lo, hi, self.cell)
+        if cells is None:
+            self._loose.discard(key)
+            return
+        for c in cells:
+            members = self._grid[c]
+            members.remove(key)
+            if not members:
+                del self._grid[c]
+
+    def add(self, key, lo, hi) -> None:
+        """File a box under a new key, or file a key's box again, keeping
+        its rank."""
+        old = self.boxes.get(key)
+        if old is None:
+            rank = self._next_rank
+            self._next_rank += 1
+        else:
+            rank = old[0]
+            self._leave(key, old[1], old[2])
+        self.boxes[key] = (rank, lo, hi)
+        self._enter(key, lo, hi)
+
+    def discard(self, key) -> None:
+        old = self.boxes.pop(key, None)
+        if old is not None:
+            self._leave(key, old[1], old[2])
+
+    def near(self, lo, hi) -> list:
+        """Keys of the boxes that may touch the query box, in rank order:
+        every filed box that touches it, and every loose box.  When the
+        query cannot be entered, every key."""
+        cells = _cells(lo, hi, self.cell)
+        if cells is None:
+            found = set(self.boxes)
+        else:
+            found = set(self._loose)
+            for c in cells:
+                for key in self._grid.get(c, ()):
+                    if key not in found:
+                        _, a, b = self.boxes[key]
+                        if all(p <= qh and ql <= q for p, q, ql, qh in zip(a, b, lo, hi)):
+                            found.add(key)
+        return sorted(found, key=lambda k: self.boxes[k][0])

@@ -15,9 +15,12 @@ the last bit.  The offset oracles are the per-query loops offsets were
 resolved with before a layout built its break index and per-pipe and
 per-offset data once: each query rescans the offsets and break lines.  The
 local-cut oracle is the component walk the cut check made before it became
-one pass over the pipes.
+one pass over the pipes.  The overlap and merge oracles are ``add_pipe``'s
+overlap check and ``add_point`` as they were before both asked the scheme's
+spatial index: each tests every stored pipe or point in dict order.
 """
 
+import math
 from fractions import Fraction
 
 from axoscheme import model
@@ -27,7 +30,9 @@ from axoscheme.model import (
     Axis,
     DimDirection,
     DimPointKind,
+    EditError,
     OffsetKind,
+    Point3,
     Scheme,
     TargetKind,
     Violation,
@@ -679,3 +684,34 @@ def oracle_pair_violations(scheme: Scheme) -> list[tuple[str, str, str]]:
                 out.append(("pipe-overlap", f"pipe:{pb}",
                             f"collinear overlap with pipe {pa}"))
     return out
+
+
+# -- edit-time scans -------------------------------------------------------------
+
+def oracle_check_pipe_overlap(scheme: Scheme, start: int, end: int) -> list[Violation]:
+    """Validate a candidate pipe between two existing points.
+
+    A violation is reported for a zero-length candidate or for a collinear
+    overlap of positive length with any stored pipe; a shared endpoint alone
+    is fine.
+    """
+    a = scheme.point(start).as_tuple()
+    b = scheme.point(end).as_tuple()
+    subject = f"pipe:{start}-{end}"
+    if start == end or dist3(a, b) < model.MERGE_EPS:
+        return [Violation("pipe-zero-length", subject, "zero-length pipes are forbidden")]
+    for pid in scheme.pipes:
+        b0, b1 = model.pipe_ends(scheme, pid)
+        if model._segments_overlap(a, b, b0, b1):
+            return [Violation("pipe-overlap", subject, f"collinear overlap with pipe {pid}")]
+    return []
+
+
+def oracle_add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
+    """Insert a point, merging with an existing one within the tolerance."""
+    if not all(math.isfinite(c) for c in (x, y, z)):
+        raise EditError("point coordinates must be finite")
+    for pid, p in scheme.points.items():
+        if dist3(p.as_tuple(), (x, y, z)) < model.MERGE_EPS:
+            return pid
+    return scheme.insert("points", Point3(x, y, z))

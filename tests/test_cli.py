@@ -190,6 +190,31 @@ def test_render_refuses_a_scale_or_gap_that_is_not_finite_and_positive(
     assert not out.exists()
 
 
+def negative_dimension_precision(s):
+    s.settings.dimension.precision = -1
+
+
+def negative_slope_mark_precision(s):
+    next(iter(s.slope_marks.values())).precision = -1
+
+
+@pytest.mark.parametrize("spoil", [negative_dimension_precision,
+                                   negative_slope_mark_precision])
+def test_render_of_a_negative_precision_is_a_layout_failure(spoil, tmp_path, capsys):
+    """A precision that validate rejects ends render with exit 1, not a
+    traceback from the number format."""
+    s = samples.reference_scheme()
+    spoil(s)
+    path = tmp_path / "bad.asts"
+    path.write_text(persist.save_text(s), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "bad.svg"
+    assert main(["render", str(path), "-o", str(out)]) == 1
+    assert "layout failure: precision -1 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_filter_overrides(ref_file, capsys):
     assert main(["spec", str(ref_file), "--temperature", "150",
                  "--pressure", "2.5"]) == 0

@@ -5,20 +5,32 @@ A new approach to property-based testing", JOSS 4(43)) runs ``add_point``,
 ``add_pipe``, ``add_offset`` of both kinds, ``place_block``, ``move_point``
 and ``delete_point`` with arguments that are often illegal, and inserts
 dimensions in an orientation that is legal for their points, so that later
-edits meet them.  After every step:
+edits meet them.  It also inserts points and pipes directly, unchecked, and
+replaces the scheme by its saved and loaded text.  After every step:
 
 - an accepted edit adds no ``integrity_check`` violation;
 - an ``EditError`` leaves the saved text unchanged;
-- no other exception escapes (Hypothesis fails the run on one).
+- no other exception escapes (Hypothesis fails the run on one);
+- the spatial index answers as a scan: for candidate pipes and points drawn
+  from a seeded generator, ``check_pipe_overlap`` and ``add_point`` give
+  the answers of ``oracle_check_pipe_overlap`` and ``oracle_add_point``.
 """
 
+import random
 from functools import partial
 
 from genschemes import random_scheme
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 from samples_for_tests import build_offset_scheme, build_rich_scheme
+from test_spatial_index import assert_index_answers_as_a_scan
 
 from axoscheme import constraints, edit, geometry, persist, samples
 from axoscheme.model import (
@@ -30,6 +42,8 @@ from axoscheme.model import (
     EditError,
     LineStyle,
     LineType,
+    Pipe,
+    Point3,
     SymbolDef,
     SymbolSegment,
     UpDir,
@@ -64,6 +78,7 @@ class EditMachine(RuleBasedStateMachine):
             self.s.insert("symbols", SymbolDef(
                 "v", [SymbolSegment(-2.0, -1.0, 2.0, 1.0)], Attach.AXIAL, (4.0,)))
         assert integrity_check(self.s) == []
+        self.probes = random.Random(0)
 
     def edit(self, fn, *args, **kwargs):
         before_text = persist.save_text(self.s)
@@ -152,6 +167,27 @@ class EditMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def delete_point(self, data):
         self.edit(edit.delete_point, self.pick(data, "points"))
+
+    # unchecked writes: a point may coincide with another, a pipe overlap one
+
+    @rule(xyz=POINTS)
+    def insert_point(self, xyz):
+        self.s.insert("points", Point3(*xyz))
+
+    @precondition(lambda self: len(self.s.points) >= 2)
+    @rule(data=st.data())
+    def insert_pipe(self, data):
+        a, b = data.draw(st.lists(st.sampled_from(sorted(self.s.points)),
+                                  min_size=2, max_size=2, unique=True))
+        self.s.insert("pipes", Pipe(a, b))
+
+    @rule()
+    def save_and_load(self):
+        self.s = persist.load_text(persist.save_text(self.s))
+
+    @invariant()
+    def the_index_answers_as_a_scan(self):
+        assert_index_answers_as_a_scan(self.s, self.probes, 6)
 
 
 EditMachine.TestCase.settings = settings(

@@ -82,6 +82,7 @@ def near_point(s, k, j, factor, d):
     moved = s.points[_pick(s.points, j)]
     x, y, z = add3(anchor, mul3(_direction(d), factor * MERGE_EPS))
     moved.x, moved.y, moved.z = x, y, z
+    s.drop_index()  # a point moved in place
 
 
 def split_pipe(s, k, pieces, keep):
@@ -95,6 +96,7 @@ def split_pipe(s, k, pieces, keep):
     ids.append(pipe.end)
     if not keep:
         pipe.end = ids[1]
+        s.drop_index()  # a pipe's end changed in place
         del ids[0]
     for a, b in zip(ids, ids[1:]):
         s.insert("pipes", Pipe(a, b))
@@ -130,6 +132,7 @@ def near_parallel(s, k, shift, f0, f1):
 
 def non_finite(s, k, axis, value):
     setattr(s.points[_pick(s.points, k)], "xyz"[axis], value)
+    s.drop_index()
 
 
 _index = st.integers(0, 60)

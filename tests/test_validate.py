@@ -240,6 +240,17 @@ def test_a_negative_precision_fails_validate(name, tmp_path, capsys):
     assert validate_lines(s, tmp_path, capsys) == library_lines(s)
 
 
+@pytest.mark.parametrize("name, message", [("scale", "scale must be positive"), (
+    "occlusion_gap_len", "occlusion gap length must be positive")])
+def test_an_infinite_scale_or_gap_fails_validate(name, message, tmp_path, capsys):
+    """The same rule as the command line's ``--scale``/``--occlusion-gap``:
+    finite and positive."""
+    s = samples.reference_scheme()
+    setattr(s.settings, name, float("inf"))
+    assert [str(v) for v in integrity_check(s)] == [f"settings-invalid settings: {message}"]
+    assert validate_lines(s, tmp_path, capsys) == library_lines(s)
+
+
 def test_move_point_refuses_a_move_under_a_negative_slope_precision():
     """Pipe 5 of the reference sample carries a slope text; its slope
     would have been written at precision -1 after the point had moved."""
