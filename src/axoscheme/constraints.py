@@ -73,8 +73,11 @@ def check_pipe_offsets(view: OffsetView, start: int, end: int) -> list[Violation
     return out
 
 
-def check_general_offset(view: OffsetView, offset_id: int) -> list[Violation]:
-    """Check every pipe and dimension line crossed by a general offset plane.
+def check_general_offset(view: OffsetView, offset_id: int, pipes=None,
+                         dimensions=None) -> list[Violation]:
+    """Check every pipe and dimension line crossed by a general offset plane,
+    or those among the pipe ids ``pipes`` and the (id, dimension) pairs
+    ``dimensions``, each given in dict order.
 
     Crossing pipes and crossing dimension lines must run along the plane
     normal; crossing pipes must carry a break line of this offset.
@@ -83,7 +86,9 @@ def check_general_offset(view: OffsetView, offset_id: int) -> list[Violation]:
     off = scheme.offset(offset_id)
     out: list[Violation] = []
     axis_u = off.axis.unit()
-    for pid in view.crossing_pipes(offset_id):
+    crossing = (view.crossing_pipes(offset_id) if pipes is None else
+                [pid for pid in pipes if view.crosses(offset_id, scheme.pipes[pid])])
+    for pid in crossing:
         d = model.pipe_direction(scheme, pid)
         if norm3(cross3(d, axis_u)) > PARALLEL_TOL:
             out.append(Violation("offset-oblique-pipe", f"pipe:{pid}",
@@ -91,7 +96,7 @@ def check_general_offset(view: OffsetView, offset_id: int) -> list[Violation]:
         if (offset_id, pid) not in view.breaks:
             out.append(Violation("offset-missing-break", f"pipe:{pid}",
                                  f"crossing pipe lacks a break line of offset {off.letter!r}"))
-    for did, dim in scheme.dimensions.items():
+    for did, dim in scheme.dimensions.items() if dimensions is None else dimensions:
         if not _splits(view, offset_id, dim.points):
             continue
         if dim.dim_dir.along_pipe:
@@ -204,9 +209,11 @@ def _axis_of(u: Vec3, tol: float) -> Axis | None:
     return None
 
 
-def _pipes_on_line(scheme: Scheme, base: Vec3, u: Vec3, tol: float) -> list[int]:
+def _pipes_on_line(scheme: Scheme, base: Vec3, u: Vec3, tol: float,
+                   pipe_ids=None) -> list[int]:
+    """The pipes, of every pipe or of ``pipe_ids``, that carry the line."""
     found = []
-    for pid in scheme.pipes:
+    for pid in scheme.pipes if pipe_ids is None else pipe_ids:
         a, b = model.pipe_ends(scheme, pid)
         d = sub3(b, a)
         if norm3(d) == 0.0:
@@ -217,6 +224,30 @@ def _pipes_on_line(scheme: Scheme, base: Vec3, u: Vec3, tol: float) -> list[int]
         if norm3(cross3(sub3(a, base), u)) > tol:
             continue
         found.append(pid)
+    return found
+
+
+def _tolerance(coords: list[Vec3]) -> float:
+    """The collinearity and coplanarity tolerance of a dimension's points."""
+    return max(REL_TOL * _diameter(coords), model.MERGE_EPS)
+
+
+def carried_dimensions(scheme: Scheme, pipe_ids) -> set[int]:
+    """Ids of the dimensions whose points lie on an oblique line that one of
+    ``pipe_ids`` carries.  Their legal orientations depend on those pipes
+    through ``_pipes_on_line``, although they refer to none of them."""
+    found: set[int] = set()
+    if not pipe_ids:
+        return found
+    for did, dim in scheme.dimensions.items():
+        if len(dim.points) < 2:
+            continue
+        coords = [model.dim_point_at(scheme, dp) for dp in dim.points]
+        tol = _tolerance(coords)
+        line_u = _line_direction(coords, tol)
+        if (line_u is not None and _axis_of(line_u, PARALLEL_TOL) is None
+                and _pipes_on_line(scheme, coords[0], line_u, tol, pipe_ids)):
+            found.add(did)
     return found
 
 
@@ -231,8 +262,7 @@ def legal_dimension_orientations(
     empty: set[tuple[Axis, DimDirection]] = set()
     if len(coords) < 2:
         return empty
-    diameter = _diameter(coords)
-    tol = max(REL_TOL * diameter, model.MERGE_EPS)
+    tol = _tolerance(coords)
 
     # (a) coincident points are always illegal
     for i, a in enumerate(coords):

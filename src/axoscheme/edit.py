@@ -2,8 +2,9 @@
 placement, cascade deletion, position renumbering, slope-text sync.
 
 An edit of a valid scheme leaves it valid, or raises ``EditError`` and
-leaves it unchanged: each edit checks what it can change with the rule code
-of ``integrity_check`` (``move_point`` runs the whole check).
+leaves it unchanged: each edit checks only what it can change, with the rule
+code of ``integrity_check``.  On a scheme that is already invalid, what is
+wrong elsewhere neither refuses an edit nor is reported by it.
 
 ``add_point`` and ``add_pipe`` ask the scheme's spatial index
 (``Scheme.index``) which stored points and pipes to test, and the edits
@@ -92,25 +93,46 @@ def move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> N
 
     The move is transactional: if any invariant would break (coincidence,
     zero-length or overlapping pipes, out-of-range anchors, a dimension left
-    without a legal orientation), the point is restored and the edit rejected.
+    without a legal orientation), the point is restored and the edit rejected
+    with the first three violations.  Only the move's reach
+    (``_move_reach``) is checked, by ``model.check_reach``; on a valid
+    scheme that gives the violations of the whole ``integrity_check``.
     """
     pt = scheme.point(point_id)
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise EditError("point coordinates must be finite")
+    reach = _move_reach(scheme, point_id)
+    scheme.index()  # filed before the move, so a refused move leaves it right
     old = (pt.x, pt.y, pt.z)
     pt.x, pt.y, pt.z = x, y, z
     try:
-        problems = model.integrity_check(scheme)
+        problems = model.check_reach(scheme, reach)
     except BaseException:
         pt.x, pt.y, pt.z = old
         raise
     if problems:
         pt.x, pt.y, pt.z = old
         raise EditError("; ".join(map(str, problems[:3])))
-    pipes = [pid for pid, pipe in scheme.pipes.items() if point_id in (pipe.start, pipe.end)]
-    scheme.refile(point_id, pipes)
-    for pid in pipes:
+    scheme.refile(point_id, reach["pipes"])
+    for pid in reach["pipes"]:
         sync_slope_texts(scheme, pid)
+
+
+def _move_reach(scheme: Scheme, point_id: int) -> dict[str, set[int]]:
+    """Every object whose verdict a move of the point can change, read
+    before the move: the point; every object that refers to it, directly or
+    through other objects (its pipes, their joints, breaks, blocks, leaders
+    and marks, the dimensions on any of these, a local offset that displaces
+    it and that offset's breaks); the dimensions whose oblique line those
+    pipes carry; and every general offset, whose plane the pipes or the
+    dimensions may now cross."""
+    reach = {name: set() for name in model.COLLECTIONS}
+    reach["points"].add(point_id)
+    model.close_over_referrers(scheme, reach, model.REFERENCES)
+    reach["dimensions"] |= constraints.carried_dimensions(scheme, reach["pipes"])
+    reach["offsets"] |= {oid for oid, off in scheme.offsets.items()
+                         if off.kind is OffsetKind.GENERAL}
+    return reach
 
 
 # -- offsets -----------------------------------------------------------------

@@ -591,7 +591,12 @@ class Scheme:
     # -- identifier allocation ------------------------------------------
 
     def new_id(self, collection: str) -> int:
+        """The next free id: past the counter and every stored id, so that
+        ``insert`` never replaces an object."""
+        stored = getattr(self, collection)
         nid = self.next_ids.get(collection, 1)
+        while nid in stored:
+            nid += 1
         self.next_ids[collection] = nid + 1
         return nid
 
@@ -772,10 +777,20 @@ SUBJECTS = {name: name[:-1] for name in COLLECTIONS} | {
     "elevation_marks": "elevation", "slope_marks": "slope"}
 
 
-def dangling_refs(scheme: Scheme):
-    """(collection, id, field, target, missing id) of every unresolved reference."""
+def _in_dict_order(objs: dict, ids) -> list:
+    """(id, object) of each of ``ids`` in ``objs``, in dict order."""
+    if len(ids) > 1:
+        ids = [oid for oid in objs if oid in ids]
+    return [(oid, objs[oid]) for oid in ids]
+
+
+def dangling_refs(scheme: Scheme, reach: dict[str, set[int]] | None = None):
+    """(collection, id, field, target, missing id) of every unresolved
+    reference, or of those that the objects in ``reach`` hold."""
     for ref in REFERENCES:
-        for oid, obj in getattr(scheme, ref.collection).items():
+        objs = getattr(scheme, ref.collection)
+        for oid, obj in (objs.items() if reach is None
+                         else _in_dict_order(objs, reach[ref.collection])):
             for target, rid in ref.ids(obj):
                 if rid not in getattr(scheme, target):
                     yield ref.collection, oid, ref.field, target, rid
@@ -988,8 +1003,9 @@ class SpatialIndex:
     a pipe with a missing or non-finite end is loose.  The pipe grid's cell
     is the median box extent, chosen again each time the number of pipes
     doubles, which costs amortised O(1) per pipe.  ``lmax`` is at least the
-    longest finite stored pipe; it does not shrink on a move or a delete,
-    which only widens a probe.
+    longest finite stored pipe and ``lmin`` at most the shortest of nonzero
+    length; neither moves back on a move or a delete, which only widens a
+    probe.  A key's rank in either grid is its place in dict order.
     """
 
     def __init__(self, scheme: Scheme):
@@ -1004,6 +1020,7 @@ class SpatialIndex:
                                    for lo, hi, _ in boxes.values()) if 0 < d < math.inf)
         self.pipes = BoxGrid(sizes[len(sizes) // 2] if sizes else 1.0)
         self.lmax = 0.0
+        self.lmin = math.inf
         for pid, (lo, hi, length) in boxes.items():
             self._file_pipe(pid, lo, hi, length)
         self._bucketed = len(boxes)
@@ -1012,6 +1029,8 @@ class SpatialIndex:
         self.pipes.add(pid, lo, hi)
         if length < math.inf:
             self.lmax = max(self.lmax, length)
+            if length > 0.0:
+                self.lmin = min(self.lmin, length)
 
     def add(self, scheme: Scheme, collection: str, oid: int) -> None:
         """File a stored point or pipe, or file it again after it moved."""
@@ -1033,14 +1052,34 @@ class SpatialIndex:
         return self.points.near(tuple(v - e for v in c), tuple(v + e for v in c))
 
     def pipes_near(self, a: Vec3, b: Vec3) -> list[int]:
-        """Ids of the pipes that ``_segments_overlap(a, b, ...)`` may accept,
-        in dict order, for a candidate of nonzero length.  The candidate's
-        box grows by ``_pipe_margin``, as in ``integrity_check``."""
+        """Ids of the pipes that ``_segments_overlap`` of the candidate from
+        ``a`` to ``b`` and the pipe, in either order, may accept, in dict
+        order, for a candidate of nonzero length.  The candidate's box grows
+        by ``_pipe_margin`` for the shorter and the longer of the two."""
         length = dist3(a, b)
-        m = _pipe_margin(length, max(self.lmax, length))
+        m = _pipe_margin(min(self.lmin, length), max(self.lmax, length))
         return self.pipes.near(
             [math.nextafter(min(p, q) - m, -math.inf) for p, q in zip(a, b)],
             [math.nextafter(max(p, q) + m, math.inf) for p, q in zip(a, b)])
+
+
+def _pairs_near(grid: BoxGrid, mine: list[tuple], near) -> list[tuple]:
+    """The pairs of the items in ``mine`` with one another and with the items
+    ``near(item)`` returns that are not in ``mine``, each item a tuple led by
+    its id in ``grid``.  Each pair comes (earlier, later) in filing order,
+    sorted as ``grid_pairs`` sorts: as a scan of every pair would meet them."""
+    rank = grid.rank
+    own = {item[0] for item in mine}
+    found: dict[tuple[int, int], tuple] = {}
+    for k, a in enumerate(mine):
+        ra = rank(a[0])
+        for b in mine[k + 1:] + [b for b in near(a) if b[0] not in own]:
+            rb = rank(b[0])
+            if ra < rb:
+                found[ra, rb] = (a, b)
+            else:
+                found[rb, ra] = (b, a)
+    return [found[key] for key in sorted(found)]
 
 
 def integrity_check(scheme: Scheme) -> list[Violation]:
@@ -1061,6 +1100,21 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     non-finite coordinate, or more than ``vectors.GRID_MAX_CELLS`` cells) is
     paired with every other box, which adds O(n) candidates per such box.
     """
+    return check_reach(scheme, None)
+
+
+def check_reach(scheme: Scheme, reach: dict[str, set[int]] | None) -> list[Violation]:
+    """The rule passes of ``integrity_check``, in its order, over the objects
+    whose ids ``reach`` holds per collection, or over every object when it
+    is None.
+
+    With a reach, a point or pipe of the reach is paired with the others of
+    the reach and with those the scheme's spatial index returns near it, so
+    the index may still hold the reach's own old boxes.  The rules of the
+    document as a whole (dense positions, the axis grid, the settings) run
+    either way.  When every object whose verdict changed since the scheme
+    was valid is in ``reach``, the result is that of ``integrity_check``.
+    """
     out: list[Violation] = []
     pts = scheme.points
     pipes = scheme.pipes
@@ -1068,7 +1122,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
     # references: each missing id is reported once; an object broken by one,
     # directly or through what it references, skips every check below
     broken: dict[str, set[int]] = {name: set() for name in COLLECTIONS}
-    for name, oid, field_name, target, rid in dangling_refs(scheme):
+    for name, oid, field_name, target, rid in dangling_refs(scheme, reach):
         _bad(out, "dangling-ref", f"{SUBJECTS[name]}:{oid}",
              f"{field_name} references missing {target[:-1]} {rid}")
         broken[name].add(oid)
@@ -1076,20 +1130,25 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         close_over_referrers(scheme, broken, REFERENCES)
 
     def intact(name: str) -> list:
-        return [(oid, obj) for oid, obj in getattr(scheme, name).items()
-                if oid not in broken[name]]
+        objs = getattr(scheme, name)
+        items = objs.items() if reach is None else _in_dict_order(objs, reach[name])
+        return [(oid, obj) for oid, obj in items if oid not in broken[name]]
 
     # points: finite, pairwise distinct
-    ids = list(pts)
-    for pid in ids:
-        p = pts[pid]
-        if not all(math.isfinite(c) for c in p.as_tuple()):
+    mine = [(pid, p.as_tuple()) for pid, p in intact("points")]
+    for pid, c in mine:
+        if not all(math.isfinite(v) for v in c):
             _bad(out, "point-finite", f"point:{pid}", "non-finite coordinate")
-    coords = [pts[pid].as_tuple() for pid in ids]
-    for i, j in grid_pairs([(c, c, MERGE_EPS) for c in coords]):
-        if dist3(coords[i], coords[j]) < MERGE_EPS:
-            _bad(out, "point-coincident", f"point:{ids[j]}",
-                 f"coincides with point {ids[i]}")
+    if reach is None:
+        boxes = [(c, c, MERGE_EPS) for _, c in mine]
+        pairs = [(mine[i], mine[j]) for i, j in grid_pairs(boxes)]
+    else:
+        idx = scheme.index()
+        pairs = _pairs_near(idx.points, mine, lambda a: [
+            (q, pts[q].as_tuple()) for q in idx.points_near(a[1])])
+    for (pa, a), (pb, b) in pairs:
+        if dist3(a, b) < MERGE_EPS:
+            _bad(out, "point-coincident", f"point:{pb}", f"coincides with point {pa}")
 
     # pipes; _segments_overlap rejects a zero-length pipe, so only pipes of
     # nonzero length are paired
@@ -1105,13 +1164,26 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         length = norm3(sub3(a1, a0))
         if length != 0.0:
             segs.append((pid, a0, a1, length))
-    lmax = max((seg[3] for seg in segs if math.isfinite(seg[3])), default=0.0)
-    boxes = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
-    for i, j in grid_pairs(boxes):
-        (pa, a0, a1, _), (pb, b0, b1, _) = segs[i], segs[j]
-        if _segments_overlap(a0, a1, b0, b1):
-            _bad(out, "pipe-overlap", f"pipe:{pb}",
-                 f"collinear overlap with pipe {pa}")
+    if reach is None:
+        lmax = max((seg[3] for seg in segs if math.isfinite(seg[3])), default=0.0)
+        boxes = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
+        pairs = [(segs[i], segs[j]) for i, j in grid_pairs(boxes)]
+    else:
+        idx = scheme.index()
+
+        def near(seg):
+            found = []
+            for pid in idx.pipes_near(seg[1], seg[2]):
+                pipe = pipes[pid]
+                if pipe.start in pts and pipe.end in pts:  # else broken: not paired
+                    found.append((pid, pts[pipe.start].as_tuple(), pts[pipe.end].as_tuple()))
+            return found
+
+        pairs = _pairs_near(idx.pipes, segs, near)
+    for a, b in pairs:  # (id, start, end, ...)
+        if _segments_overlap(a[1], a[2], b[1], b[2]):
+            _bad(out, "pipe-overlap", f"pipe:{b[0]}",
+                 f"collinear overlap with pipe {a[0]}")
 
     # joints
     seen_pairs: dict[frozenset, int] = {}
@@ -1155,7 +1227,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         out.extend(constraints.check_local_offset(view, oid))
 
     # symbol defs
-    for sid, sym in scheme.symbols.items():
+    for sid, sym in intact("symbols"):
         sub = f"symbol:{sid}"
         if not sym.graphics:
             _bad(out, "symbol-empty", sub, "symbol has no graphics")
@@ -1215,7 +1287,7 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     # spec props
     seen_positions: dict[int, int] = {}
-    for sid, props in scheme.spec_props.items():
+    for sid, props in intact("spec_props"):
         sub = f"props:{sid}"
         if props.position < 1:
             _bad(out, "props-position", sub, "position must be positive")
@@ -1298,11 +1370,16 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
         _bad(out, "settings-invalid", "settings", "slice bounds must be ordered")
     _check_style(out, "settings", st.pipe_style)
 
-    # general offset planes, last: the pass reads every pipe and point
+    # general offset planes, last: the pass reads every pipe and dimension,
+    # or those of the reach
     if not any(broken.values()):
-        for oid, off in scheme.offsets.items():
+        in_pipes = in_dims = None
+        if reach is not None:
+            in_pipes = [pid for pid, _ in intact("pipes")]
+            in_dims = intact("dimensions")
+        for oid, off in intact("offsets"):
             if off.kind is OffsetKind.GENERAL and off.axis is not None:
-                out += constraints.check_general_offset(view, oid)
+                out += constraints.check_general_offset(view, oid, in_pipes, in_dims)
     return out
 
 

@@ -212,6 +212,10 @@ class BoxGrid:
         self.boxes[key] = (rank, lo, hi)
         self._enter(key, lo, hi)
 
+    def rank(self, key) -> int:
+        """The place of a filed key in filing order."""
+        return self.boxes[key][0]
+
     def discard(self, key) -> None:
         old = self.boxes.pop(key, None)
         if old is not None:

@@ -17,13 +17,16 @@ per-offset data once: each query rescans the offsets and break lines.  The
 local-cut oracle is the component walk the cut check made before it became
 one pass over the pipes.  The overlap and merge oracles are ``add_pipe``'s
 overlap check and ``add_point`` as they were before both asked the scheme's
-spatial index: each tests every stored pipe or point in dict order.
+spatial index: each tests every stored pipe or point in dict order.  The
+move oracle is ``move_point`` as it was before it checked only the move's
+reach: it runs the whole ``integrity_check``.
 """
 
 import math
 from fractions import Fraction
 
 from axoscheme import model
+from axoscheme.edit import sync_slope_texts
 from axoscheme.geometry import DrawnSpan, _segment_crossing, pipe_drawn_spans
 from axoscheme.model import (
     MERGE_EPS,
@@ -715,3 +718,29 @@ def oracle_add_point(scheme: Scheme, x: float, y: float, z: float) -> int:
         if dist3(p.as_tuple(), (x, y, z)) < model.MERGE_EPS:
             return pid
     return scheme.insert("points", Point3(x, y, z))
+
+
+def oracle_move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> None:
+    """Relocate a point, then resync slope texts of the pipes at it.
+
+    The move is transactional: if any invariant would break (coincidence,
+    zero-length or overlapping pipes, out-of-range anchors, a dimension left
+    without a legal orientation), the point is restored and the edit rejected.
+    """
+    pt = scheme.point(point_id)
+    if not all(math.isfinite(c) for c in (x, y, z)):
+        raise EditError("point coordinates must be finite")
+    old = (pt.x, pt.y, pt.z)
+    pt.x, pt.y, pt.z = x, y, z
+    try:
+        problems = model.integrity_check(scheme)
+    except BaseException:
+        pt.x, pt.y, pt.z = old
+        raise
+    if problems:
+        pt.x, pt.y, pt.z = old
+        raise EditError("; ".join(map(str, problems[:3])))
+    pipes = [pid for pid, pipe in scheme.pipes.items() if point_id in (pipe.start, pipe.end)]
+    scheme.refile(point_id, pipes)
+    for pid in pipes:
+        sync_slope_texts(scheme, pid)

@@ -407,10 +407,10 @@ def test_move_point_restores_the_point_when_the_check_raises(monkeypatch):
     s = samples.golden_tee_assembly()
     before = persist.save_text(s)
 
-    def broken(scheme):
+    def broken(scheme, reach):
         raise ZeroDivisionError("check failed")
 
-    monkeypatch.setattr(model, "integrity_check", broken)
+    monkeypatch.setattr(model, "check_reach", broken)
     with pytest.raises(ZeroDivisionError):
         edit.move_point(s, 2, 1500.0, 2000.0, 100.0)
     assert persist.save_text(s) == before

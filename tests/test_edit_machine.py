@@ -11,11 +11,14 @@ replaces the scheme by its saved and loaded text.  After every step:
 - an accepted edit adds no ``integrity_check`` violation;
 - an ``EditError`` leaves the saved text unchanged;
 - no other exception escapes (Hypothesis fails the run on one);
+- on a valid scheme, ``move_point`` gives the outcome and the saved text of
+  ``oracle_move_point``, the move that ran the whole ``integrity_check``;
 - the spatial index answers as a scan: for candidate pipes and points drawn
   from a seeded generator, ``check_pipe_overlap`` and ``add_point`` give
   the answers of ``oracle_check_pipe_overlap`` and ``oracle_add_point``.
 """
 
+import copy
 import random
 from functools import partial
 
@@ -29,8 +32,9 @@ from hypothesis.stateful import (
     precondition,
     rule,
 )
+from oracles import oracle_move_point
 from samples_for_tests import build_offset_scheme, build_rich_scheme
-from test_spatial_index import assert_index_answers_as_a_scan
+from test_spatial_index import assert_index_answers_as_a_scan, outcome
 
 from axoscheme import constraints, edit, geometry, persist, samples
 from axoscheme.model import (
@@ -80,16 +84,18 @@ class EditMachine(RuleBasedStateMachine):
         assert integrity_check(self.s) == []
         self.probes = random.Random(0)
 
-    def edit(self, fn, *args, **kwargs):
+    def edit(self, fn, *args, **kwargs) -> str | None:
+        """Run the edit and check its outcome; the refusal text, or None."""
         before_text = persist.save_text(self.s)
         before = set(map(str, integrity_check(self.s)))
         try:
             fn(self.s, *args, **kwargs)
-        except EditError:
+        except EditError as e:
             assert persist.save_text(self.s) == before_text
-        else:
-            added = set(map(str, integrity_check(self.s))) - before
-            assert not added, (fn.__name__, args, kwargs, sorted(added))
+            return str(e)
+        added = set(map(str, integrity_check(self.s))) - before
+        assert not added, (fn.__name__, args, kwargs, sorted(added))
+        return None
 
     def pick(self, data, collection: str, optional: bool = False):
         ids = sorted(getattr(self.s, collection))
@@ -144,7 +150,13 @@ class EditMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.s.points)
     @rule(data=st.data(), xyz=POINTS)
     def move_point(self, data, xyz):
-        self.edit(edit.move_point, self.pick(data, "points"), *xyz)
+        pid = self.pick(data, "points")
+        oracle = copy.deepcopy(self.s) if integrity_check(self.s) == [] else None
+        got = self.edit(edit.move_point, pid, *xyz)
+        if oracle is not None:
+            want = outcome(oracle_move_point, oracle, pid, *xyz)
+            assert want == (None if got is None else ("EditError", got)), (pid, xyz)
+            assert persist.save_text(self.s) == persist.save_text(oracle)
 
     @precondition(lambda self: len(self.s.points) >= 2)
     @rule(data=st.data())

@@ -119,18 +119,21 @@ def test_drop_index_after_a_write_in_place():
     assert [v.rule for v in constraints.check_pipe_overlap(s, a, c)] == ["pipe-overlap"]
 
 
-def test_an_insert_that_replaces_an_entry_files_it_again():
-    """With the id counter behind the stored ids, ``insert`` replaces an
-    entry; the index files the new object under the old id and rank."""
+def test_insert_skips_the_ids_already_stored():
+    """With the id counter behind the stored ids, as after direct dict
+    writes, ``insert`` takes the next free id and replaces nothing; the
+    index files the new objects."""
     s = new_scheme()
     s.points[1] = Point3(0.0, 0.0, 0.0)
     s.points[2] = Point3(1000.0, 0.0, 0.0)
     s.pipes[1] = Pipe(1, 2)
     s.index()
-    assert s.insert("points", Point3(3000.0, 0.0, 0.0)) == 1
-    assert s.insert("pipes", Pipe(2, 1)) == 1
-    assert edit.add_point(s, 3000.0, 0.0, 0.0) == 1
-    assert edit.add_point(s, 1000.0, 0.0, 0.0) == 2
+    assert s.insert("points", Point3(3000.0, 0.0, 0.0)) == 3
+    assert s.insert("pipes", Pipe(2, 3)) == 2
+    assert s.points[1] == Point3(0.0, 0.0, 0.0) and s.pipes[1] == Pipe(1, 2)
+    assert edit.add_point(s, 3000.0, 0.0, 0.0) == 3
+    assert edit.add_point(s, 0.0, 0.0, 0.0) == 1
+    assert edit.add_point(s, 5000.0, 0.0, 0.0) == 4
     assert_index_answers_as_a_scan(s, random.Random(4), 40)
 
 
