@@ -38,13 +38,18 @@ def check_pipe_overlap(scheme: Scheme, start: int, end: int) -> list[Violation]:
     overlap of positive length with any stored pipe; a shared endpoint alone
     is fine.  Only the pipes the scheme's spatial index returns are tested;
     they come in dict order, so the pipe named is the first that overlaps.
+    A returned pipe with a missing end is reported by ``dangling-ref``.
     """
     a = scheme.point(start).as_tuple()
     b = scheme.point(end).as_tuple()
     subject = f"pipe:{start}-{end}"
     if start == end or dist3(a, b) < model.MERGE_EPS:
         return [Violation("pipe-zero-length", subject, "zero-length pipes are forbidden")]
-    for pid in scheme.index().pipes_near(a, b):
+    near = scheme.index().pipes_near(a, b)
+    dangling = model.dangling_pipe_ends(scheme, {pid: scheme.pipes[pid] for pid in near})
+    if dangling:
+        return dangling
+    for pid in near:
         b0, b1 = model.pipe_ends(scheme, pid)
         if model._segments_overlap(a, b, b0, b1):
             return [Violation("pipe-overlap", subject, f"collinear overlap with pipe {pid}")]

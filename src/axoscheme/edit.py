@@ -4,7 +4,9 @@ placement, cascade deletion, position renumbering, slope-text sync.
 An edit of a valid scheme leaves it valid, or raises ``EditError`` and
 leaves it unchanged: each edit checks only what it can change, with the rule
 code of ``integrity_check``.  On a scheme that is already invalid, what is
-wrong elsewhere neither refuses an edit nor is reported by it.
+wrong elsewhere neither refuses an edit nor is reported by it; a pipe whose
+geometry the edit must read but whose end is missing refuses it by
+``dangling-ref``.
 
 ``add_point`` and ``add_pipe`` ask the scheme's spatial index
 (``Scheme.index``) which stored points and pipes to test, and the edits
@@ -158,8 +160,12 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
 
     General offsets auto-create break lines with scheme defaults on every
     crossing pipe; local offsets derive their displaced point set from the
-    seed point.  Violations reject the edit unchanged.
+    seed point.  Violations reject the edit unchanged.  Both read every
+    pipe, so a pipe with a missing end refuses the edit by ``dangling-ref``.
     """
+    dangling = model.dangling_pipe_ends(scheme, scheme.pipes)
+    if dangling:
+        raise _rejected(dangling)
     letter = next_offset_letter(scheme)
     if isinstance(spec, GeneralOffsetSpec):
         sign = 1.0 if spec.toward_positive else -1.0

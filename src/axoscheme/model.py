@@ -889,6 +889,25 @@ def _bad(out: list[Violation], rule: str, subject: str, message: str) -> None:
     out.append(Violation(rule, subject, message))
 
 
+def _dangling(name: str, oid: int, field_name: str, target: str, rid: int) -> Violation:
+    """The ``dangling-ref`` violation of one unresolved reference."""
+    return Violation("dangling-ref", f"{SUBJECTS[name]}:{oid}",
+                     f"{field_name} references missing {target[:-1]} {rid}")
+
+
+def dangling_pipe_ends(scheme: Scheme, pipes: dict[int, Pipe]) -> list[Violation]:
+    """The ``dangling-ref`` violations of those of ``pipes`` ({id: pipe})
+    that have a missing end, as ``integrity_check`` reports them: an edit
+    that must read these pipes' geometry refuses by them.  One membership
+    test per end."""
+    pts = scheme.points
+    bad = {pid for pid, pipe in pipes.items() if pipe.start not in pts or pipe.end not in pts}
+    if not bad:
+        return []
+    reach = {name: set() for name in COLLECTIONS} | {"pipes": bad}
+    return [_dangling(*ref) for ref in dangling_refs(scheme, reach)]
+
+
 def _check_style(out: list[Violation], subject: str, style: LineStyle) -> None:
     if not (type(style.color) is int and 0 <= style.color < PALETTE_SIZE):
         _bad(out, "style-palette", subject, f"color index {style.color} outside palette")
@@ -1123,8 +1142,7 @@ def check_reach(scheme: Scheme, reach: dict[str, set[int]] | None) -> list[Viola
     # directly or through what it references, skips every check below
     broken: dict[str, set[int]] = {name: set() for name in COLLECTIONS}
     for name, oid, field_name, target, rid in dangling_refs(scheme, reach):
-        _bad(out, "dangling-ref", f"{SUBJECTS[name]}:{oid}",
-             f"{field_name} references missing {target[:-1]} {rid}")
+        out.append(_dangling(name, oid, field_name, target, rid))
         broken[name].add(oid)
     if out:
         close_over_referrers(scheme, broken, REFERENCES)

@@ -9,9 +9,8 @@ in ``spec``.
 
 import dataclasses
 import struct
-from functools import cache, partial
+from functools import cache, cached_property
 from operator import attrgetter
-from types import SimpleNamespace
 
 from .. import model
 from .common import CorruptError, PersistError, TruncatedError
@@ -346,15 +345,19 @@ def default_of(cls, name: str):
     return lambda: f.default
 
 
+def _field_error(key: str, raw) -> FieldError:
+    return FieldError(f"missing key {key!r}" if raw is None else f"bad {key} {raw!r}")
+
+
 def take(kv: dict, key: str, parse, missing=None):
     """Take ``key`` out of a text line's pairs and parse its value."""
     raw = kv.pop(key, missing)
     if raw is None:
-        raise FieldError(f"missing key {key!r}")
+        raise _field_error(key, raw)
     try:
         return parse(raw)
     except _PARSE_ERRORS:
-        raise FieldError(f"bad {key} {raw!r}") from None
+        raise _field_error(key, raw) from None
 
 
 def _text_writes(fields, path: str) -> list:
@@ -376,9 +379,107 @@ def _text_writes(fields, path: str) -> list:
     return out
 
 
-def _present(first: str, read, kv: dict):
-    """A sparse nested record, there when its first key is."""
-    return read(kv) if first in kv else None
+def _run(kv: dict, vals: list, reads, builds) -> None:
+    """Take each read's key out of ``kv`` into its slot of ``vals``, then
+    make the nested values of ``builds`` from their slots, innermost first.
+    A read without a key is a field read its own way, by ``parse(kv, vals)``."""
+    pop = kv.pop
+    for slot, key, parse, missing in reads:
+        if key is None:
+            parse(kv, vals)
+            continue
+        raw = pop(key, missing)
+        if raw is None:
+            raise _field_error(key, raw)
+        try:
+            vals[slot] = parse(raw)
+        except _PARSE_ERRORS:
+            raise _field_error(key, raw) from None
+    for slot, lo, hi, make in builds:
+        vals[slot] = make(*vals[lo:hi])
+
+
+def _pack(*items) -> tuple:
+    return items
+
+
+class _SoFar:
+    """The values of a record read so far, by attribute, for ``when``."""
+
+    __slots__ = ("vals", "slot_of")
+
+    def __init__(self, vals: list, slot_of: dict):
+        self.vals = vals
+        self.slot_of = slot_of
+
+    def __getattr__(self, name: str):
+        return self.vals[self.slot_of[name]]
+
+
+def _lay(record, template: list, reads: list, builds: list) -> dict:
+    """Lay out the text reading of ``record`` in one list of slots.
+
+    The record's constructor arguments take the next slots of ``template``,
+    in constructor order, so that it is built from one slice.  Its text
+    fields add their reads to ``reads`` in text order; a nested record's
+    fields join the same lists, and its build comes after theirs.  Returns
+    {attribute: slot}.
+    """
+    names = [f.name for f in dataclasses.fields(record.cls)]
+    slot_of = {name: len(template) + i for i, name in enumerate(names)}
+    template += [None] * len(names)
+    for f in record.text_fields:
+        _lay_field(record.cls, f, slot_of, template, reads, builds)
+    return slot_of
+
+
+def _lay_field(cls, f: Field, slot_of: dict, template: list, reads: list,
+               builds: list) -> None:
+    """Lay out one text field of a ``cls`` record (see ``_lay``)."""
+    if f.when is not None or (f.sparse and isinstance(f.codec, Record)):
+        # a field that may be absent: its reads and builds run only when it is there
+        own_reads, own_builds = [], []
+        _lay_field(cls, Field(f.attr, f.key, f.codec, missing=f.missing), slot_of,
+                   template, own_reads, own_builds)
+        slot = slot_of[f.name]
+        if f.when is not None:
+            when, default = f.when, default_of(cls, f.attr)
+
+            def read(kv, vals):
+                if when(_SoFar(vals, slot_of)):
+                    _run(kv, vals, own_reads, own_builds)
+                else:
+                    vals[slot] = default()
+        else:
+            first = f.codec.text_fields[0].key
+
+            def read(kv, vals):
+                if first in kv:
+                    _run(kv, vals, own_reads, own_builds)
+                else:
+                    vals[slot] = None
+        reads.append((slot, None, read, None))
+    elif isinstance(f.codec, Record):
+        lo = len(template)
+        n = len(_lay(f.codec, template, reads, builds))
+        builds.append((slot_of[f.attr], lo, lo + n, f.codec.cls))
+    elif isinstance(f.key, tuple) and isinstance(f.attr, tuple):
+        reads += [(slot_of[a], k, f.codec.parse, f.missing) for a, k in zip(f.attr, f.key)]
+    elif isinstance(f.key, tuple):
+        lo = len(template)
+        template += [None] * len(f.key)
+        reads += [(lo + i, k, f.codec.parse, f.missing) for i, k in enumerate(f.key)]
+        builds.append((slot_of[f.attr], lo, len(template), _pack))
+    elif isinstance(f.attr, tuple):
+        slots = [slot_of[a] for a in f.attr]
+        key, parse, missing = f.key, f.codec.parse, f.missing
+
+        def read(kv, vals):
+            for slot, v in zip(slots, take(kv, key, parse, missing)):
+                vals[slot] = v
+        reads.append((None, None, read, None))
+    else:
+        reads.append((slot_of[f.attr], f.key, f.codec.parse, f.missing))
 
 
 class Record:
@@ -397,18 +498,6 @@ class Record:
         self._writes = [(f.get, f.write) for f in fields]
         self._reads = [(f.attr, f.read) for f in fields]
         self._text_writes = _text_writes(self.text_fields, "")
-        # a nested record's read_text stands in for the codec's parse
-        self._text_reads = []
-        for f in self.text_fields:
-            nested = isinstance(f.codec, Record)
-            if not nested:
-                parse = f.codec.parse
-            elif f.sparse:
-                parse = partial(_present, f.codec.text_fields[0].key, f.codec.read_text)
-            else:
-                parse = f.codec.read_text
-            self._text_reads.append((f.attr, f.key, parse, f.missing, f.when,
-                                     None if f.when is None else default_of(cls, f.attr)))
 
     def write(self, out: bytearray, obj) -> None:
         for get, write in self._writes:
@@ -442,25 +531,25 @@ class Record:
             else:
                 parts += [p + text(v[i]) for i, p in enumerate(prefix)]
 
-    def read_text(self, kv: dict, **extra):
+    @cached_property
+    def _text_layout(self) -> tuple:
+        """(template, reads, builds, {attribute: slot}) of ``_lay``, laid
+        out on first use: most nested records are read only inside others."""
+        template, reads, builds = [], [], []
+        return template, reads, builds, _lay(self, template, reads, builds)
+
+    def read_text(self, kv: dict):
         """The object on a text line, from the pairs in ``kv``, taking them
-        out; ``extra`` gives the fields the line does not carry."""
-        return self.cls(**self.text_values(kv), **extra)
+        out; a field the line does not carry is None."""
+        template, reads, builds, slot_of = self._text_layout
+        vals = template[:]
+        _run(kv, vals, reads, builds)
+        return self.cls(*vals[:len(slot_of)])
 
     def text_values(self, kv: dict) -> dict:
         """{attribute: value} of the text fields, taken out of ``kv``."""
-        d = {}
-        for attr, key, parse, missing, when, default in self._text_reads:
-            if when is not None and not when(SimpleNamespace(**d)):
-                v = default()
-            elif type(key) is str:
-                v = take(kv, key, parse, missing)
-            elif key is None:
-                v = parse(kv)
-            else:
-                v = tuple([take(kv, k, parse, missing) for k in key])
-            if type(attr) is str:
-                d[attr] = v
-            else:
-                d.update(zip(attr, v))
-        return d
+        template, reads, builds, slot_of = self._text_layout
+        vals = template[:]
+        _run(kv, vals, reads, builds)
+        return {name: vals[slot_of[name]] for f in self.text_fields
+                for name in (f.attr if isinstance(f.attr, tuple) else (f.attr,))}

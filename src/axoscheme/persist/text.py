@@ -3,9 +3,10 @@
 Strings are double-quoted with backslash escapes; the four special text
 symbols travel as ``\\sl`` ``\\sr`` ``\\deg`` ``\\dia``.  Comments start with
 ``#`` outside quotes.  Records end at a line feed, with one carriage return
-before it dropped.  Saving renumbers identifiers densely and prints floats at
-32-bit precision, so text -> binary -> text is the identity.  The keys of
-each record come from ``spec``.
+before it dropped, and the first record is ``scheme version=1``.  Saving
+renumbers identifiers densely and prints floats at 32-bit precision, so
+text -> binary -> text is the identity.  The keys of each record come from
+``spec``.
 """
 
 import re
@@ -20,24 +21,23 @@ from .spec import ARC, AXIS_GRID, SECTIONS, SEGMENT, SETTINGS, SETTINGS_LINES, r
 FORMAT_VERSION = 1
 
 # -- tokenizer ----------------------------------------------------------------
+#
+# A line is a kind and then key=value pairs, separated by blanks: spaces and
+# tabs, and no other whitespace.  The kind is the first word.  A key runs to
+# the first ``=`` of its word; a bare value runs to the next blank, so it may
+# hold ``=``.  A quoted value is a list of comma-joined strings, and the next
+# key may follow its closing quote without a blank.  ``#`` starts a comment
+# where a kind or a key would start.
 
 _UNESCAPES = {name: ch for ch, name in ESCAPES.items()}
 # longest name first, so that \deg is not taken for an unknown \d
 _NAMES = "|".join(map(re.escape, sorted(_UNESCAPES, key=len, reverse=True)))
 _STRING = rf'"(?:[^"\\]|\\(?:{_NAMES}))*"'
-_END = r"(?=[ \t]|\Z)"  # a bare word runs to the next blank: no shorter match
-
-
-def _pair(group: str) -> str:
-    """key=value, its three parts in groups opened by ``group``: a bare value
-    runs to the next blank, a quoted one is a list of comma-joined strings,
-    and a key may follow a closing quote without a blank."""
-    return (rf'(?!#){group}[^= \t]*)='
-            rf'(?:{group}{_STRING}(?:,{_STRING})*)(?!,)|{group}(?!")[^ \t]*{_END}))')
-
-
-_PAIRS = re.compile(r"[ \t]*" + _pair("("))
-_LINE = re.compile(rf"[ \t]*(?:(?!#)([^ \t]+{_END})((?:[ \t]*{_pair('(?:')})*))?[ \t]*(?:#.*)?")
+# one step along a line after its kind: blanks, then a pair (its key in group
+# 1, a quoted value in group 2, a bare one in group 3) or else a comment or
+# nothing; a well-formed line's last step ends at its end
+_STEP = re.compile(rf'[ \t]*(?:(?!#)([^= \t]*)=(?:({_STRING}(?:,{_STRING})*)(?!,)|(?!")([^ \t]*))'
+                   rf'|(?:#.*)?)')
 _PIECE = re.compile(rf'"((?:[^"\\]|\\(?:{_NAMES}))*)"')
 _UNESCAPE = re.compile(rf"\\({_NAMES})")
 
@@ -49,16 +49,38 @@ def _unescape(s: str) -> str:
 def _tokenize(line: str, no: int) -> tuple[str, dict] | None:
     """(kind, {key: bare value or list of strings}), or None for a blank or
     comment line."""
-    m = _LINE.match(line)
-    if m.end() != len(line):
-        raise ParseError(f"expected key=value near column {m.end() + 1}", no)
-    kind, body = m.groups()
-    if kind is None:
+    words = line.split(" ")
+    kind = words[0]
+    if kind and '"' not in line and "#" not in line and "\t" not in line:
+        # bare words one space apart, the most common line: split, no scan
+        kv = {}
+        for word in words[1:]:
+            key, eq, value = word.partition("=")
+            if not eq:
+                break  # not a pair: the scan below reports where
+            kv[key] = value
+        else:
+            if len(kv) != len(words) - 1:
+                raise ParseError("duplicate key", no)
+            return kind, kv
+    body = line.lstrip(" \t")
+    if not body or body[0] == "#":
         return None
-    pairs = _PAIRS.findall(body)
-    kv = {key: [_unescape(p) for p in _PIECE.findall(quoted)] if quoted else bare
-          for key, quoted, bare in pairs}
-    if len(kv) != len(pairs):
+    kind = body.partition(" ")[0].partition("\t")[0]
+    pos = len(line) - len(body) + len(kind)
+    kv = {}
+    pairs = 0
+    while True:
+        m = _STEP.match(line, pos)
+        pos = m.end()
+        key, quoted, bare = m.groups()
+        if key is None:
+            break
+        kv[key] = bare if quoted is None else [_unescape(p) for p in _PIECE.findall(quoted)]
+        pairs += 1
+    if pos != len(line):
+        raise ParseError(f"expected key=value near column {pos + 1}", no)
+    if len(kv) != pairs:
         raise ParseError("duplicate key", no)
     return kind, kv
 
@@ -105,9 +127,9 @@ def _object_reader(collection: str, record: Record):
         store = getattr(scheme, collection)
         if oid in store:
             raise FieldError(f"duplicate id {oid}")
-        # a symbol's graphics come on the symbol.seg and symbol.arc lines
-        store[oid] = (record.read_text(kv, graphics=[]) if collection == "symbols"
-                      else record.read_text(kv))
+        store[oid] = obj = record.read_text(kv)
+        if collection == "symbols":
+            obj.graphics = []  # they come on the symbol.seg and symbol.arc lines
     return read
 
 
@@ -148,6 +170,8 @@ def load_text(text: str) -> Scheme:
             continue
         kind, kv = token
         if kind == "scheme":
+            if seen_version:
+                raise ParseError("scheme: declared twice", no)
             try:
                 version = int(kv.pop("version", None))
             except (ValueError, TypeError):
@@ -155,6 +179,8 @@ def load_text(text: str) -> Scheme:
             if version > FORMAT_VERSION:
                 raise ParseError(f"format version {version} too new", no)
             seen_version = True
+        elif not seen_version:
+            raise ParseError(f"{kind}: before the 'scheme version=...' record", no)
         else:
             read = _READERS.get(kind)
             if read is None:

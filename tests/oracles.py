@@ -19,10 +19,14 @@ one pass over the pipes.  The overlap and merge oracles are ``add_pipe``'s
 overlap check and ``add_point`` as they were before both asked the scheme's
 spatial index: each tests every stored pipe or point in dict order.  The
 move oracle is ``move_point`` as it was before it checked only the move's
-reach: it runs the whole ``integrity_check``.
+reach: it runs the whole ``integrity_check``.  The tokenizer oracle is
+the text loader's line tokenizer as it was before bare lines were split
+without a regex: it matches each line whole with one regex, then finds its
+pairs with a second.
 """
 
 import math
+import re
 from fractions import Fraction
 
 from axoscheme import model
@@ -40,6 +44,8 @@ from axoscheme.model import (
     TargetKind,
     Violation,
 )
+from axoscheme.persist import ParseError
+from axoscheme.persist.codec import ESCAPES
 from axoscheme.vectors import add3, dist2, dist3, dot3, mul3
 
 AXES = (Axis.X, Axis.Y, Axis.Z)
@@ -744,3 +750,47 @@ def oracle_move_point(scheme: Scheme, point_id: int, x: float, y: float, z: floa
     scheme.refile(point_id, pipes)
     for pid in pipes:
         sync_slope_texts(scheme, pid)
+
+
+# -- text tokenizer oracle -------------------------------------------------------
+
+_UNESCAPES = {name: ch for ch, name in ESCAPES.items()}
+# longest name first, so that \deg is not taken for an unknown \d
+_NAMES = "|".join(map(re.escape, sorted(_UNESCAPES, key=len, reverse=True)))
+_STRING = rf'"(?:[^"\\]|\\(?:{_NAMES}))*"'
+_END = r"(?=[ \t]|\Z)"  # a bare word runs to the next blank: no shorter match
+
+
+def _pair(group: str) -> str:
+    """key=value, its three parts in groups opened by ``group``: a bare value
+    runs to the next blank, a quoted one is a list of comma-joined strings,
+    and a key may follow a closing quote without a blank."""
+    return (rf'(?!#){group}[^= \t]*)='
+            rf'(?:{group}{_STRING}(?:,{_STRING})*)(?!,)|{group}(?!")[^ \t]*{_END}))')
+
+
+_PAIRS = re.compile(r"[ \t]*" + _pair("("))
+_LINE = re.compile(rf"[ \t]*(?:(?!#)([^ \t]+{_END})((?:[ \t]*{_pair('(?:')})*))?[ \t]*(?:#.*)?")
+_PIECE = re.compile(rf'"((?:[^"\\]|\\(?:{_NAMES}))*)"')
+_UNESCAPE = re.compile(rf"\\({_NAMES})")
+
+
+def _unescape(s: str) -> str:
+    return _UNESCAPE.sub(lambda m: _UNESCAPES[m.group(1)], s) if "\\" in s else s
+
+
+def oracle_tokenize(line: str, no: int) -> tuple[str, dict] | None:
+    """(kind, {key: bare value or list of strings}), or None for a blank or
+    comment line."""
+    m = _LINE.match(line)
+    if m.end() != len(line):
+        raise ParseError(f"expected key=value near column {m.end() + 1}", no)
+    kind, body = m.groups()
+    if kind is None:
+        return None
+    pairs = _PAIRS.findall(body)
+    kv = {key: [_unescape(p) for p in _PIECE.findall(quoted)] if quoted else bare
+          for key, quoted, bare in pairs}
+    if len(kv) != len(pairs):
+        raise ParseError("duplicate key", no)
+    return kind, kv

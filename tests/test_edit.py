@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from axoscheme.model import (
     LeaderToPipe,
     LineStyle,
     LineType,
+    Pipe,
     PositionMark,
     SlopeFormat,
     SpecKind,
@@ -558,6 +560,29 @@ def test_edit_refused_by_an_integrity_rule_leaves_the_scheme_unchanged(setup, ru
     with pytest.raises(EditError, match=rule):
         refused()
     assert persist.save_text(s) == before
+
+
+def _saved_without_pipe(s, pid) -> str:
+    s = copy.deepcopy(s)
+    del s.pipes[pid]
+    return persist.save_text(s)
+
+
+@pytest.mark.parametrize("refused", [
+    lambda s, p: edit.add_pipe(s, 1, p),
+    lambda s, p: edit.add_offset(s, edit.GeneralOffsetSpec(Axis.X, -5000.0, 100.0)),
+    lambda s, p: edit.add_offset(s, edit.LocalOffsetSpec((0.0, 0.0, 1.0), 100.0, [(1, 10.0)], 1)),
+])
+def test_an_edit_that_reads_a_pipe_with_a_missing_end_refuses_by_dangling_ref(refused):
+    """The spatial index returns a pipe with a missing end for every query,
+    and an offset reads every pipe: the edit refuses, it does not crash."""
+    s = samples.reference_scheme()
+    dangling = s.insert("pipes", Pipe(1, 999))
+    p = edit.add_point(s, -700.0, 0.0, 0.0)
+    before = _saved_without_pipe(s, dangling)
+    with pytest.raises(EditError, match="dangling-ref: end references missing point 999"):
+        refused(s, p)
+    assert _saved_without_pipe(s, dangling) == before
 
 
 def test_a_dimension_along_a_collapsed_pipe_is_reported_not_raised():

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,50 @@ def test_unknown_key_rejected():
     with pytest.raises(ParseError) as err:
         load_text(doc)
     assert "'w'" in str(err.value)
+
+
+def test_a_record_before_the_scheme_record_reports_its_line():
+    for doc, line in (("point id=1 x=0 y=0 z=0\nscheme version=1\n", 1),
+                      ("# c\n\nbogus\nscheme version=1\n", 3)):
+        with pytest.raises(ParseError, match="before the 'scheme version=...' record") as err:
+            load_text(doc)
+        assert err.value.line == line
+
+
+def test_a_second_scheme_record_reports_its_line():
+    doc = "scheme version=1\npoint id=1 x=0 y=0 z=0\n# c\nscheme version=1\n"
+    with pytest.raises(ParseError, match="scheme: declared twice") as err:
+        load_text(doc)
+    assert err.value.line == 4
+
+
+def _objects(value):
+    """Every model object in ``value``, nested ones included."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for v in vars(value).values():
+            yield from _objects(v)
+    elif isinstance(value, (list, tuple, set)):
+        for v in value:
+            yield from _objects(v)
+
+
+def test_loaders_build_objects_through_their_constructors():
+    # an object whose dict is filled another way keeps a dict of its own,
+    # whose size differs from that of the key-sharing dict the constructor
+    # makes; all the key-sharing dicts of a class report one size at a time
+    schemes = [random_scheme(seed) for seed in range(10)] + [samples.reference_scheme()]
+    for save, load in ((save_text, load_text), (save_binary, load_binary)):
+        seen = set()
+        for s in schemes:
+            loaded = load(save(s))
+            objs = [loaded.settings, loaded.axis_grid]
+            objs += [obj for name in model.COLLECTIONS for obj in getattr(loaded, name).values()]
+            for obj in _objects(objs):
+                built = vars(type(obj)(**vars(obj)))
+                assert sys.getsizeof(vars(obj)) == sys.getsizeof(built), obj
+                seen.add(type(obj))
+        assert {section.record.cls for section in spec.SECTIONS} <= seen
 
 
 def test_text_normalization_idempotent():
