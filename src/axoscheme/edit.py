@@ -6,7 +6,9 @@ leaves it unchanged: each edit checks only what it can change, with the rule
 code of ``integrity_check``.  On a scheme that is already invalid, what is
 wrong elsewhere neither refuses an edit nor is reported by it; a pipe whose
 geometry the edit must read but whose end is missing refuses it by
-``dangling-ref``.
+``dangling-ref``, and so does a dimension point it must place
+(``model.unplaced_dimension_points``): ``add_offset``, ``move_point`` and
+``delete_point`` read every dimension.
 
 ``add_point`` and ``add_pipe`` ask the scheme's spatial index
 (``Scheme.index``) which stored points and pipes to test, and the edits
@@ -103,6 +105,9 @@ def move_point(scheme: Scheme, point_id: int, x: float, y: float, z: float) -> N
     pt = scheme.point(point_id)
     if not all(math.isfinite(c) for c in (x, y, z)):
         raise EditError("point coordinates must be finite")
+    unplaced = model.unplaced_dimension_points(scheme)
+    if unplaced:
+        raise _rejected(unplaced)
     reach = _move_reach(scheme, point_id)
     scheme.index()  # filed before the move, so a refused move leaves it right
     old = (pt.x, pt.y, pt.z)
@@ -161,9 +166,11 @@ def add_offset(scheme: Scheme, spec: GeneralOffsetSpec | LocalOffsetSpec) -> int
     General offsets auto-create break lines with scheme defaults on every
     crossing pipe; local offsets derive their displaced point set from the
     seed point.  Violations reject the edit unchanged.  Both read every
-    pipe, so a pipe with a missing end refuses the edit by ``dangling-ref``.
+    pipe and every dimension, so a pipe with a missing end or a dimension
+    point without a place refuses the edit by ``dangling-ref``.
     """
-    dangling = model.dangling_pipe_ends(scheme, scheme.pipes)
+    dangling = (model.dangling_pipe_ends(scheme, scheme.pipes)
+                + model.unplaced_dimension_points(scheme))
     if dangling:
         raise _rejected(dangling)
     letter = next_offset_letter(scheme)
@@ -286,6 +293,9 @@ def delete_point(scheme: Scheme, point_id: int) -> DeletionReport:
     the scheme passes ``integrity_check``.
     """
     scheme.point(point_id)
+    unplaced = model.unplaced_dimension_points(scheme)
+    if unplaced:
+        raise _rejected(unplaced)
     gone: dict[str, set[int]] = {name: set() for name in model.COLLECTIONS}
     gone["points"].add(point_id)
     model.close_over_referrers(scheme, gone, _CASCADE)

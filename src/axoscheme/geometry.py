@@ -564,8 +564,8 @@ def _segment_crossing(a0: Vec2, a1: Vec2, b0: Vec2, b1: Vec2):
     return None
 
 
-# Box margin per unit of 2D span length that makes the boxes of every pair
-# ``_segment_crossing`` accepts touch (see ``chain_occlusion_gaps``).
+# Margin per unit of 2D span length that makes the grown spans of every pair
+# ``_segment_crossing`` accepts meet (see ``chain_occlusion_gaps``).
 _CROSSING_MARGIN = 1e-2
 
 
@@ -579,23 +579,25 @@ def chain_occlusion_gaps(scheme: Scheme, proj: Projection,
     chain in paper mm, sorted by (pipe, interval).  Empty when occlusion
     visibility is off.
 
-    Only spans whose drawing-plane boxes share a cell of
-    ``vectors.grid_pairs`` are tested, so the cost is linear in spans plus
-    candidate pairs where spans are of comparable length (under 40 per pipe
-    on a 600-pipe lattice, against 300 for every pair).  The filter is
+    Only the span pairs that ``vectors.grid_pairs`` returns are tested: the
+    spans, each grown by a margin, are filed in the grid cells they pass
+    through, and a pair is tested only when they share a cell and their
+    grown boxes touch.  So the cost is linear in spans plus candidate pairs,
+    also where long and short spans mix (under 20 candidates per pipe on a
+    600-pipe lattice, against 300 for every pair).  The filter is
     conservative, so the gaps are to the last bit those of testing every
     pair.  ``_segment_crossing`` accepts a pair only with both parameters in
     (0, 1) and ``|d1 x d2| > 1e-12 max|d|^2`` (and above 1e-72, clear of
     underflow), so each computed parameter is within
     ``4.5e-4 (|r| + |d|) / |d|`` of exact, r being the offset between the
-    span starts.  The two points the computed parameters name, one inside
-    each span's box, are then at most ``1.4e-3 (|d1| + |d2|)`` apart; a
-    margin of ``_CROSSING_MARGIN`` times its length on each box covers that
-    seven times over.  The error is real: spans end to end on nearly one
-    line, up to about 1e-5 of their length apart, can be accepted.  A
-    zero-length span never crosses and is left out, so a view in which many
-    pipes shrink to points keeps its cell size.  A span with a non-finite
-    end is paired with every other span.
+    span starts.  The two points the computed parameters name, one on each
+    span, are then at most ``1.4e-3 (|d1| + |d2|)`` apart; a margin of
+    ``_CROSSING_MARGIN`` times its length on each span covers that seven
+    times over.  The error is real: spans end to end on nearly one line, up
+    to about 1e-5 of their length apart, can be accepted.  A zero-length
+    span never crosses and is left out, so a view in which many pipes
+    shrink to points keeps its cell size.  A span with a non-finite end is
+    paired with every other span.
     """
     if not scheme.settings.visibility.occlusion:
         return []
@@ -606,7 +608,7 @@ def chain_occlusion_gaps(scheme: Scheme, proj: Projection,
     # which can differ from the chain's paper lengths in the last bit
     offsets_paper: dict[int, list[float]] = {}
     items: list[tuple[int, int, DrawnSpan]] = []  # (pipe, span index, span)
-    boxes = []
+    segments = []
     for pid in sorted(chains):
         acc = [0.0]
         for i, span in enumerate(chains[pid].spans):
@@ -615,7 +617,7 @@ def chain_occlusion_gaps(scheme: Scheme, proj: Projection,
             if length == 0.0:
                 continue
             items.append((pid, i, span))
-            boxes.append((span.p0, span.p1, _CROSSING_MARGIN * length))
+            segments.append((span.p0, span.p1, _CROSSING_MARGIN * length))
         offsets_paper[pid] = acc
 
     def true_depth(pipe_id: int, span: DrawnSpan, s: float) -> float:
@@ -624,7 +626,7 @@ def chain_occlusion_gaps(scheme: Scheme, proj: Projection,
         return dot3(p, proj.view_dir)
 
     out: list[tuple[int, tuple[float, float]]] = []
-    for i, j in grid_pairs(boxes):
+    for i, j in grid_pairs(segments):
         (pa, ia, sa), (pb, ib, sb) = items[i], items[j]
         if pa == pb:
             continue  # a pipe does not hide itself

@@ -11,9 +11,10 @@ All 3D coordinates are model millimetres ("nature"); sheet-space millimetres
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .vectors import (
-    BoxGrid,
+    SegmentGrid,
     Vec2,
     Vec3,
     along3,
@@ -789,8 +790,16 @@ def dangling_refs(scheme: Scheme, reach: dict[str, set[int]] | None = None):
     reference, or of those that the objects in ``reach`` hold."""
     for ref in REFERENCES:
         objs = getattr(scheme, ref.collection)
-        for oid, obj in (objs.items() if reach is None
-                         else _in_dict_order(objs, reach[ref.collection])):
+        items = objs.items() if reach is None else _in_dict_order(objs, reach[ref.collection])
+        if ref.shape is None and isinstance(ref.target, str):
+            # one id or None, read without ids(), as in close_over_referrers
+            stored, get = getattr(scheme, ref.target), attrgetter(ref.field)
+            for oid, obj in items:
+                rid = get(obj)
+                if rid is not None and rid not in stored:
+                    yield ref.collection, oid, ref.field, ref.target, rid
+            continue
+        for oid, obj in items:
             for target, rid in ref.ids(obj):
                 if rid not in getattr(scheme, target):
                     yield ref.collection, oid, ref.field, target, rid
@@ -908,6 +917,36 @@ def dangling_pipe_ends(scheme: Scheme, pipes: dict[int, Pipe]) -> list[Violation
     return [_dangling(*ref) for ref in dangling_refs(scheme, reach)]
 
 
+# the fields read to place a dimension's points: a point, or a block's anchor
+# on its pipe
+_PLACING = {("dimensions", "points"), ("blocks", "pipe"), ("pipes", "start"), ("pipes", "end")}
+
+
+def unplaced_dimension_points(scheme: Scheme) -> list[Violation]:
+    """The ``dangling-ref`` violations that leave a dimension point without a
+    place, as ``integrity_check`` reports them: a missing point or block,
+    or a missing pipe or pipe end under one of its blocks.  An edit that
+    must place every dimension's points refuses by them."""
+    pts, pipes = scheme.points, scheme.pipes
+
+    def placed(dp: DimPoint) -> bool:
+        if dp.kind is DimPointKind.POINT:
+            return dp.ref in pts
+        blk = scheme.blocks.get(dp.ref)
+        pipe = None if blk is None else pipes.get(blk.pipe)
+        return pipe is not None and pipe.start in pts and pipe.end in pts
+
+    if all(placed(dp) for dim in scheme.dimensions.values() for dp in dim.points):
+        return []
+    blocks = {dp.ref for dim in scheme.dimensions.values() for dp in dim.points
+              if dp.kind is DimPointKind.BLOCK and dp.ref in scheme.blocks}
+    reach = {name: set() for name in COLLECTIONS} | {
+        "dimensions": set(scheme.dimensions), "blocks": blocks,
+        "pipes": {scheme.blocks[b].pipe for b in blocks} & pipes.keys()}
+    return [_dangling(*ref) for ref in dangling_refs(scheme, reach)
+            if (ref[0], ref[2]) in _PLACING]
+
+
 def _check_style(out: list[Violation], subject: str, style: LineStyle) -> None:
     if not (type(style.color) is int and 0 <= style.color < PALETTE_SIZE):
         _bad(out, "style-palette", subject, f"color index {style.color} outside palette")
@@ -981,75 +1020,65 @@ def _segments_overlap(a0: Vec3, a1: Vec3, b0: Vec3, b1: Vec3) -> bool:
 
 
 def _pipe_margin(length: float, lmax: float) -> float:
-    """Box margin for a pipe of ``length`` among pipes no longer than ``lmax``.
+    """Grid margin for a pipe of ``length`` among pipes no longer than ``lmax``.
 
     ``_segments_overlap(a, b)`` holds only if some point of b lies within
     2e-9 * max(la, lb)**2 / la of a point of a: b's start is within half
     that of a's line, and b turns away from the line by at most the other
-    half.  Twice that bound, with lmax for max(la, lb), makes the boxes of
-    any such pair touch, with room for the predicate's own rounding.
+    half.  Twice that bound, with lmax for max(la, lb), makes the grown
+    segments of any such pair meet, with room for the predicate's own
+    rounding.
     """
     return 4e-9 * lmax * (lmax / length + 1.0)
 
 
 # -- spatial index ---------------------------------------------------------------
 #
-# Adding a point or a pipe probes a hash grid of the stored points and pipes
-# (Teschner, Heidelberger, Mueller, Pomeranets & Gross 2003, "Optimized
-# spatial hashing for collision detection of deformable objects") instead of
-# testing every one.  A probe returns candidates in dict order, and a
-# superset of the hits, so its first hit is the first hit of a scan.
+# Adding a point or a pipe probes a grid of the stored points and pipes
+# (``vectors.SegmentGrid``) instead of testing every one.  A probe returns
+# candidates in dict order, and a superset of the hits, so its first hit is
+# the first hit of a scan.
 
-# A point is filed at one cell of this size.  A probe takes the box 2 *
-# MERGE_EPS around its query: dist3 < MERGE_EPS holds only within MERGE_EPS
-# and its rounding, and rounding is monotone, so no hit falls outside.
+# Points are filed in cells of this size.  A probe grows its query point by
+# 2 * MERGE_EPS: dist3 < MERGE_EPS holds only within MERGE_EPS and its
+# rounding, and rounding is monotone, so no hit falls outside.
 POINT_CELL = 4 * MERGE_EPS
 
 
-def _pipe_box(scheme: Scheme, pipe: Pipe) -> tuple[Vec3, Vec3, float]:
-    """A pipe's box corners and length, all NaN for a missing end."""
+def _pipe_segment(scheme: Scheme, pipe: Pipe) -> tuple[Vec3, Vec3]:
+    """A pipe's ends, all NaN for a missing end."""
     pts = scheme.points
     if pipe.start not in pts or pipe.end not in pts:
-        return (math.nan,) * 3, (math.nan,) * 3, math.nan
-    a, b = pts[pipe.start].as_tuple(), pts[pipe.end].as_tuple()
-    return tuple(map(min, a, b)), tuple(map(max, a, b)), dist3(a, b)
+        return (math.nan,) * 3, (math.nan,) * 3
+    return pts[pipe.start].as_tuple(), pts[pipe.end].as_tuple()
 
 
 class SpatialIndex:
-    """The points and pipes of a scheme, each in a ``vectors.BoxGrid``.
+    """The points and pipes of a scheme, each in a ``vectors.SegmentGrid``.
 
-    Points are filed at their coordinates and pipes by their bare boxes, so
-    a pipe with a missing or non-finite end is loose.  The pipe grid's cell
-    is the median box extent, chosen again each time the number of pipes
-    doubles, which costs amortised O(1) per pipe.  ``lmax`` is at least the
-    longest finite stored pipe and ``lmin`` at most the shortest of nonzero
-    length; neither moves back on a move or a delete, which only widens a
-    probe.  A key's rank in either grid is its place in dict order.
+    Points are filed as segments of length zero, and pipes as their bare
+    segments, so a pipe with a missing or non-finite end is loose.  Each
+    grid is filed in one pass when the index is built.  The pipe grid's cell
+    is the median extent of the pipes, and the grid is filed again in one
+    pass each time the number of pipes doubles, which costs amortised O(1)
+    per pipe.  ``lmax`` is at least the longest finite stored pipe and
+    ``lmin`` at most the shortest of nonzero length; neither moves back on a
+    move or a delete, which only widens a probe.  A key's rank in either
+    grid is its place in dict order.
     """
 
     def __init__(self, scheme: Scheme):
-        self.points = BoxGrid(POINT_CELL)
-        for pid in scheme.points:
-            self.add(scheme, "points", pid)
+        coords = [(pid, p.as_tuple()) for pid, p in scheme.points.items()]
+        self.points = SegmentGrid(((pid, c, c, 0.0) for pid, c in coords), POINT_CELL)
         self._rebucket(scheme)
 
     def _rebucket(self, scheme: Scheme) -> None:
-        boxes = {pid: _pipe_box(scheme, pipe) for pid, pipe in scheme.pipes.items()}
-        sizes = sorted(d for d in (max(h - l for l, h in zip(lo, hi))
-                                   for lo, hi, _ in boxes.values()) if 0 < d < math.inf)
-        self.pipes = BoxGrid(sizes[len(sizes) // 2] if sizes else 1.0)
-        self.lmax = 0.0
-        self.lmin = math.inf
-        for pid, (lo, hi, length) in boxes.items():
-            self._file_pipe(pid, lo, hi, length)
-        self._bucketed = len(boxes)
-
-    def _file_pipe(self, pid: int, lo: Vec3, hi: Vec3, length: float) -> None:
-        self.pipes.add(pid, lo, hi)
-        if length < math.inf:
-            self.lmax = max(self.lmax, length)
-            if length > 0.0:
-                self.lmin = min(self.lmin, length)
+        segs = [(pid, *_pipe_segment(scheme, pipe), 0.0) for pid, pipe in scheme.pipes.items()]
+        self.pipes = SegmentGrid(segs)
+        lengths = [length for length in (dist3(a, b) for _, a, b, _ in segs) if length < math.inf]
+        self.lmax = max(lengths, default=0.0)
+        self.lmin = min((length for length in lengths if length > 0.0), default=math.inf)
+        self._bucketed = len(segs)
 
     def add(self, scheme: Scheme, collection: str, oid: int) -> None:
         """File a stored point or pipe, or file it again after it moved."""
@@ -1057,7 +1086,13 @@ class SpatialIndex:
             c = scheme.points[oid].as_tuple()
             self.points.add(oid, c, c)
         elif collection == "pipes":
-            self._file_pipe(oid, *_pipe_box(scheme, scheme.pipes[oid]))
+            a, b = _pipe_segment(scheme, scheme.pipes[oid])
+            self.pipes.add(oid, a, b)
+            length = dist3(a, b)
+            if length < math.inf:
+                self.lmax = max(self.lmax, length)
+                if length > 0.0:
+                    self.lmin = min(self.lmin, length)
             if len(self.pipes) >= 2 * self._bucketed:
                 self._rebucket(scheme)
 
@@ -1067,22 +1102,19 @@ class SpatialIndex:
 
     def points_near(self, c: Vec3) -> list[int]:
         """Ids of the points that may lie within MERGE_EPS of c, in dict order."""
-        e = 2 * MERGE_EPS
-        return self.points.near(tuple(v - e for v in c), tuple(v + e for v in c))
+        return self.points.near(c, c, 2 * MERGE_EPS)
 
     def pipes_near(self, a: Vec3, b: Vec3) -> list[int]:
         """Ids of the pipes that ``_segments_overlap`` of the candidate from
         ``a`` to ``b`` and the pipe, in either order, may accept, in dict
-        order, for a candidate of nonzero length.  The candidate's box grows
-        by ``_pipe_margin`` for the shorter and the longer of the two."""
+        order, for a candidate of nonzero length.  The candidate grows by
+        ``_pipe_margin`` for the shorter and the longer of the two."""
         length = dist3(a, b)
-        m = _pipe_margin(min(self.lmin, length), max(self.lmax, length))
-        return self.pipes.near(
-            [math.nextafter(min(p, q) - m, -math.inf) for p, q in zip(a, b)],
-            [math.nextafter(max(p, q) + m, math.inf) for p, q in zip(a, b)])
+        return self.pipes.near(a, b, _pipe_margin(min(self.lmin, length),
+                                                  max(self.lmax, length)))
 
 
-def _pairs_near(grid: BoxGrid, mine: list[tuple], near) -> list[tuple]:
+def _pairs_near(grid: SegmentGrid, mine: list[tuple], near) -> list[tuple]:
     """The pairs of the items in ``mine`` with one another and with the items
     ``near(item)`` returns that are not in ``mine``, each item a tuple led by
     its id in ``grid``.  Each pair comes (earlier, later) in filing order,
@@ -1110,14 +1142,15 @@ def integrity_check(scheme: Scheme) -> list[Violation]:
 
     Point coincidence and pipe overlap test only the candidate pairs that
     ``vectors.grid_pairs`` returns, so they cost time linear in the number of
-    points, pipes and candidates rather than quadratic; where pipes are of
-    comparable length a pipe has a bounded number of candidates (fewer than
-    10 per pipe on a 600-pipe lattice).  The filter is conservative: every
-    pair the exact predicates (``dist3 < MERGE_EPS``, ``_segments_overlap``)
-    would accept is a candidate, on any input, so the violations and their
-    order are those of testing every pair.  A box it cannot bucket (a
-    non-finite coordinate, or more than ``vectors.GRID_MAX_CELLS`` cells) is
-    paired with every other box, which adds O(n) candidates per such box.
+    points, pipes and candidates rather than quadratic.  Each point and pipe
+    is filed in the grid cells its grown segment passes through, so a pipe
+    has a bounded number of candidates also where long mains and short
+    stubs mix (fewer than 6 per pipe on a 600-pipe lattice).  The filter is
+    conservative: every pair the exact predicates (``dist3 < MERGE_EPS``,
+    ``_segments_overlap``) would accept is a candidate, on any input, so the
+    violations and their order are those of testing every pair.  A
+    non-finite point or pipe is paired with every other, which adds O(n)
+    candidates per such object.
     """
     return check_reach(scheme, None)
 
@@ -1129,7 +1162,7 @@ def check_reach(scheme: Scheme, reach: dict[str, set[int]] | None) -> list[Viola
 
     With a reach, a point or pipe of the reach is paired with the others of
     the reach and with those the scheme's spatial index returns near it, so
-    the index may still hold the reach's own old boxes.  The rules of the
+    the index may still hold the reach's own old segments.  The rules of the
     document as a whole (dense positions, the axis grid, the settings) run
     either way.  When every object whose verdict changed since the scheme
     was valid is in ``reach``, the result is that of ``integrity_check``.
@@ -1158,8 +1191,8 @@ def check_reach(scheme: Scheme, reach: dict[str, set[int]] | None) -> list[Viola
         if not all(math.isfinite(v) for v in c):
             _bad(out, "point-finite", f"point:{pid}", "non-finite coordinate")
     if reach is None:
-        boxes = [(c, c, MERGE_EPS) for _, c in mine]
-        pairs = [(mine[i], mine[j]) for i, j in grid_pairs(boxes)]
+        grown = [(c, c, MERGE_EPS) for _, c in mine]
+        pairs = [(mine[i], mine[j]) for i, j in grid_pairs(grown)]
     else:
         idx = scheme.index()
         pairs = _pairs_near(idx.points, mine, lambda a: [
@@ -1184,8 +1217,8 @@ def check_reach(scheme: Scheme, reach: dict[str, set[int]] | None) -> list[Viola
             segs.append((pid, a0, a1, length))
     if reach is None:
         lmax = max((seg[3] for seg in segs if math.isfinite(seg[3])), default=0.0)
-        boxes = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
-        pairs = [(segs[i], segs[j]) for i, j in grid_pairs(boxes)]
+        grown = [(a0, a1, _pipe_margin(length, lmax)) for _, a0, a1, length in segs]
+        pairs = [(segs[i], segs[j]) for i, j in grid_pairs(grown)]
     else:
         idx = scheme.index()
 

@@ -323,3 +323,22 @@ def riser_scheme(risers: int = 3, floors: int = 4) -> Scheme:
                                                 [(branch, 1000.0)], end))
     assert model.integrity_check(s) == []
     return s
+
+
+def mains_and_stubs(n: int) -> Scheme:
+    """``n`` pipes (``n >= 4``), built only through ``edit.add_point`` and
+    ``edit.add_pipe``, with no violation: a quarter are parallel mains along
+    X, 40 m long and 300 mm apart; the rest are 0.5 m stubs rising from
+    them, 300 mm apart along each main.  A main is 80 times as long as a
+    stub, so one grid cell cannot suit both."""
+    s = model.new_scheme()
+    mains = n // 4
+    for k in range(mains):
+        edit.add_pipe(s, edit.add_point(s, 0.0, 300.0 * k, 0.0),
+                      edit.add_point(s, 40000.0, 300.0 * k, 0.0))
+    for j in range(n - mains):
+        k = j % mains
+        x = 150.0 + 300.0 * ((j // mains) * 40 + k % 40)
+        edit.add_pipe(s, edit.add_point(s, x, 300.0 * k, 0.0),
+                      edit.add_point(s, x, 300.0 * k, 500.0))
+    return s

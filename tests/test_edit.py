@@ -562,9 +562,9 @@ def test_edit_refused_by_an_integrity_rule_leaves_the_scheme_unchanged(setup, ru
     assert persist.save_text(s) == before
 
 
-def _saved_without_pipe(s, pid) -> str:
+def _saved_without(s, collection, oid) -> str:
     s = copy.deepcopy(s)
-    del s.pipes[pid]
+    del getattr(s, collection)[oid]
     return persist.save_text(s)
 
 
@@ -579,10 +579,10 @@ def test_an_edit_that_reads_a_pipe_with_a_missing_end_refuses_by_dangling_ref(re
     s = samples.reference_scheme()
     dangling = s.insert("pipes", Pipe(1, 999))
     p = edit.add_point(s, -700.0, 0.0, 0.0)
-    before = _saved_without_pipe(s, dangling)
+    before = _saved_without(s, "pipes", dangling)
     with pytest.raises(EditError, match="dangling-ref: end references missing point 999"):
         refused(s, p)
-    assert _saved_without_pipe(s, dangling) == before
+    assert _saved_without(s, "pipes", dangling) == before
 
 
 def test_a_dimension_along_a_collapsed_pipe_is_reported_not_raised():
@@ -603,3 +603,24 @@ def test_a_dimension_along_a_collapsed_pipe_is_reported_not_raised():
     assert persist.save_text(s) == before
     s.point(b).x = 0.0
     assert "pipe-zero-length" in {v.rule for v in integrity_check(s)}
+
+
+@pytest.mark.parametrize("refused", [
+    lambda s: edit.add_offset(s, edit.GeneralOffsetSpec(Axis.X, -5000.0, 100.0)),
+    lambda s: edit.move_point(s, 1, -100.0, 0.0, 0.0),
+    lambda s: edit.delete_point(s, 6),
+], ids=["add_offset", "move_point", "delete_point"])
+def test_an_edit_that_places_a_dimension_point_that_is_missing_refuses_by_dangling_ref(refused):
+    """These edits place every dimension's points: one whose point is
+    missing refuses the edit by ``dangling-ref``, as integrity_check reports
+    it, and the scheme stays as it was."""
+    s = samples.reference_scheme()
+    did = s.insert("dimensions", Dimension([DimPoint(DimPointKind.POINT, 1),
+                                            DimPoint(DimPointKind.POINT, 999)],
+                                           Axis.Y, DimDirection(axis=Axis.X)))
+    assert [str(v) for v in integrity_check(s) if v.rule == "dangling-ref"] == [
+        f"dangling-ref dim:{did}: points references missing point 999"]
+    before = _saved_without(s, "dimensions", did)
+    with pytest.raises(EditError, match="dangling-ref: points references missing point 999"):
+        refused(s)
+    assert _saved_without(s, "dimensions", did) == before

@@ -3,9 +3,10 @@
 Occlusion gaps must come out exactly as testing every pair of drawn spans
 gives them: the same floats in the same order, on generated, sample and
 mutated schemes.  The mutations aim at the grid's cell corners, at the
-tolerance edges of ``_segment_crossing`` and at the cell cap.  Block coverage
-gathered in one walk over the blocks must equal walking every block for each
-pipe.  The lattice guards pin what one layout costs.
+tolerance edges of ``_segment_crossing`` and at long spans, which are filed
+along their paths.  Block coverage gathered in one walk over the blocks must
+equal walking every block for each pipe.  The lattice guards pin what one
+layout costs.
 """
 
 import math
@@ -23,6 +24,7 @@ from axoscheme.vectors import add3, cross3, dist2, dot3, mul3, unit3
 from genschemes import lattice_scheme, random_scheme
 from oracles import oracle_coverage_intervals, oracle_occlusion_gaps
 from samples_for_tests import build_offset_scheme, build_rich_scheme
+from test_segment_grid import assert_pairs_as_brute_force
 
 PROJECTIONS = ["isometric", "dimetric", "view-top", "frontal-dimetric-45"]
 SAMPLES = [samples.reference_scheme, samples.golden_straight_run,
@@ -154,8 +156,8 @@ def near_parallel(s, proj, k, theta, f0, f1, depth):
 
 
 def long_diagonal(s, proj, fx, angle, cells, depth):
-    """A pipe whose image box spans more cells than the grid's cap, so it is
-    paired with every other span."""
+    """A pipe whose image is ``cells`` grid cells long: filed along its
+    path, or loose when that is more cells than there are spans."""
     cell = _grid_cell(s, proj)
     x0, y0, x1, y1 = _image_box(s, proj)
     q = (x0 + fx * (x1 - x0), y0 + fx * (y1 - y0))
@@ -247,28 +249,28 @@ def test_near_parallel_spans_either_side_of_a_cell_corner():
     assert assert_same_as_all_pairs(s, proj) == 1
 
 
-def test_long_diagonal_over_the_cell_cap_matches_all_pairs():
+def test_long_diagonal_is_filed_along_its_path_and_matches_all_pairs():
+    """A diagonal over 40 cells, whose box holds some 1,000, enters the cells
+    along its image only, and still hides and is hidden as testing every
+    pair gives."""
     s = lattice_scheme(200)
     proj = projection_by_name("dimetric")
     long_diagonal(s, proj, 0.5, 0.7, 40.0, 250.0)
     pid = max(s.pipes)
     (span,) = geometry.OffsetView(s).drawn_chains(proj, [pid])[pid].spans
     cell = _grid_cell(s, proj)
-    cells = math.prod(abs(b - a) / cell for a, b in zip(span.p0, span.p1))
-    assert cells > vectors.GRID_MAX_CELLS
+    in_box = math.prod(abs(b - a) / cell for a, b in zip(span.p0, span.p1))
+    margin = geometry._CROSSING_MARGIN * dist2(span.p0, span.p1)
+    box = vectors._grown(span.p0, span.p1, margin)
+    entered = vectors._cells(span.p0, span.p1, margin, box, cell, 10**6)
+    assert in_box > 500 and 40 < len(entered) < 200
     assert any(victim == pid for victim, _ in oracle_occlusion_gaps(s, proj))
     assert_same_as_all_pairs(s, proj)
 
 
 # -- the grid on its own ---------------------------------------------------------
 
-def _touch(a, b) -> bool:
-    (p, q, m), (r, t, n) = a, b
-    return all(max(min(x0, x1) - m, min(y0, y1) - n) <= min(max(x0, x1) + m, max(y0, y1) + n)
-               for x0, x1, y0, y1 in zip(p, q, r, t))
-
-
-# near coordinates share cells; far ones span more cells than a range counts
+# near coordinates share cells; far ones are loose
 _coord = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e30, 1e30))
 
 
@@ -278,11 +280,9 @@ _coord = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e30, 1e30))
               st.sampled_from([0.0, 1e-9, 1.0])),
     max_size=30)))
 def test_grid_pairs_holds_every_touching_pair(boxes):
-    got = vectors.grid_pairs(boxes)
-    assert got == sorted(set(got))
-    want = {(i, j) for i in range(len(boxes)) for j in range(i + 1, len(boxes))
-            if _touch(boxes[i], boxes[j])}
-    assert want <= set(got)
+    """Every pair of grown segments that meet, and no pair whose boxes do
+    not touch (``test_segment_grid``)."""
+    assert_pairs_as_brute_force(boxes)
 
 
 # -- block coverage ----------------------------------------------------------------

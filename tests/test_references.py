@@ -11,6 +11,8 @@ import dataclasses
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axoscheme import model, samples
 from axoscheme.model import DimDirection, DimPoint, integrity_check
@@ -128,3 +130,34 @@ def test_every_stored_id_is_in_the_table():
                 fields.update((name, f) for f, _, _ in id_slots(obj))
     # the schemes reach every reference field of the table
     assert fields == {(ref.collection, ref.field) for ref in model.REFERENCES}
+
+
+# -- the dangling references ---------------------------------------------------------
+
+def _dangling_by_ids(scheme):
+    """``model.dangling_refs`` as each row reads through ``Ref.ids``."""
+    for ref in model.REFERENCES:
+        for oid, obj in getattr(scheme, ref.collection).items():
+            for target, rid in ref.ids(obj):
+                if rid not in getattr(scheme, target):
+                    yield ref.collection, oid, ref.field, target, rid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 199), st.lists(st.tuples(
+    st.sampled_from(["points", "pipes", "offsets", "symbols", "blocks", "texts",
+                     "pipe_leaders", "block_leaders", "spec_props"]),
+    st.integers(0, 60)), max_size=5))
+def test_dangling_refs_read_as_every_row_does(seed, removals):
+    """Objects removed from under their referrers: the missing references
+    come in the order and with the fields of reading every row through
+    ``Ref.ids``, and they are those the oracle re-walks."""
+    s = random_scheme(seed)
+    for name, k in removals:
+        ids = list(getattr(s, name))
+        if ids:
+            del getattr(s, name)[ids[k % len(ids)]]
+    got = list(model.dangling_refs(s))
+    assert got == list(_dangling_by_ids(s))
+    walked = [line for line in oracle_dangling(s) if "->" in line]
+    assert len(walked) == sum(1 for row in got if row[:3:2] != ("texts", "main_leader"))

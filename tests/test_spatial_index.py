@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from axoscheme import constraints, edit, model, persist, samples
 from axoscheme.model import MERGE_EPS, Pipe, Point3, new_scheme
-from axoscheme.vectors import BoxGrid
-from genschemes import lattice_scheme, random_scheme
+from axoscheme.vectors import SegmentGrid
+from genschemes import lattice_scheme, mains_and_stubs, random_scheme
 from oracles import oracle_add_point, oracle_check_pipe_overlap
 from test_integrity_pairs import MUTATIONS
 
@@ -181,8 +181,8 @@ def test_mutated_schemes_answer_as_a_scan(seed, mutations, rng):
 # -- the grid ----------------------------------------------------------------------
 
 def test_box_grid_answers_in_filing_order():
-    grid = BoxGrid(1.0)
-    grid.add("far", (0.0, 0.0), (1e6, 1e6))    # over GRID_MAX_CELLS: loose
+    grid = SegmentGrid(cell=1.0)
+    grid.add("far", (0.0, 0.0), (1e6, 1e6))    # more cells than segments: loose
     grid.add("a", (0.5, 0.5), (0.5, 0.5))
     grid.add("nan", (math.nan, 0.0), (math.nan, 0.0))
     grid.add("b", (0.6, 0.6), (2.5, 0.6))
@@ -196,3 +196,29 @@ def test_box_grid_answers_in_filing_order():
     grid.discard("far")
     assert grid.near((0.4, 0.4), (0.7, 0.7)) == ["nan", "b"]
     assert len(grid) == 4
+
+
+def test_a_long_segment_is_filed_along_its_path():
+    """Among enough segments a long diagonal is filed in the cells along it:
+    a probe in its box but off its path does not return it."""
+    grid = SegmentGrid([(k, (1e4 + 3.0 * k, 0.0), (1e4 + 3.0 * k, 0.0), 0.5)
+                        for k in range(1000)])
+    grid.add("long", (0.0, 0.0), (200.0, 200.0))
+    assert grid.near((100.5, 100.0), (100.5, 100.0)) == ["long"]
+    assert grid.near((150.0, 50.0), (150.0, 50.0), 1.0) == []
+    grid.add("long", (0.0, 200.0), (200.0, 0.0))  # re-filed along its new path
+    assert grid.near((150.0, 50.0), (150.0, 50.0), 1.0) == ["long"]
+    assert grid.near((100.5, 100.0), (100.5, 100.0)) == ["long"]
+    assert grid.near((20.0, 20.0), (20.0, 20.0), 1.0) == []
+
+
+def test_mains_and_stubs_answer_as_a_scan():
+    """Mains 80 times as long as the stubs: probes along and across them,
+    and at their points, answer as the scans do."""
+    s = mains_and_stubs(200)
+    assert_index_answers_as_a_scan(s, random.Random(6), 60)
+    ids = list(s.points)
+    mid = edit.add_point(s, 20000.0, 300.0, 0.0)  # on the second main
+    for other in (ids[2], ids[3], ids[-1]):
+        assert (outcome(constraints.check_pipe_overlap, s, mid, other)
+                == outcome(oracle_check_pipe_overlap, s, mid, other))
