@@ -5,6 +5,7 @@ format error, 4 I/O error.
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -188,8 +189,58 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``--opt -value`` as ``--opt=-value``.
+
+    argparse takes any word that starts with ``-`` and is not a plain
+    negative number for an option, so ``--slice -2000:-100`` and
+    ``--temperature -1e3`` would end in "expected one argument".  Here a word
+    that follows an option taking one value is that value, unless it is
+    itself an option of this parser (``--slice --hide`` stays an error);
+    nothing from a ``--`` word on is touched.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        words = sys.argv[1:] if args is None else list(args)
+        end = words.index("--") if "--" in words else len(words)
+        i = 0
+        while i < end - 1:
+            action = self._named(words[i])
+            value = words[i + 1]
+            if (action is not None and action.nargs is None
+                    and value[:1] == "-" and not self._is_option(value)):
+                words[i:i + 2] = [f"{words[i]}={value}"]
+                end -= 1
+            i += 1
+        return super().parse_known_args(words, namespace)
+
+    def _named(self, word: str) -> argparse.Action | None:
+        """The option that ``word`` names alone: one of its strings, or the
+        start of exactly one long one."""
+        options = self._option_string_actions
+        if word in options or not word.startswith("--"):
+            return options.get(word)
+        starts = [option for option in options if option.startswith(word)]
+        return options[starts[0]] if len(starts) == 1 else None
+
+    def _is_option(self, word: str) -> bool:
+        """Whether argparse reads ``word`` as one of this parser's options:
+        one of their strings, a short one with its value attached, or the
+        start of a long one (argparse refuses an ambiguous start), each
+        optionally with ``=value``."""
+        name = word.partition("=")[0]
+        options = self._option_string_actions
+        if name.startswith("--"):
+            return any(option.startswith(name) for option in options)
+        return name in options or word[:2] in options
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line's parser: built on the first call, then the same
+    object for every later call in the process, so repeated ``main`` calls
+    do not rebuild it."""
+    parser = _Parser(
         prog="axoscheme",
         description="Parametric kernel for axonometric piping-scheme drawings")
     sub = parser.add_subparsers(dest="command", required=True)

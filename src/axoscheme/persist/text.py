@@ -46,23 +46,74 @@ def _unescape(s: str) -> str:
     return _UNESCAPE.sub(lambda m: _UNESCAPES[m.group(1)], s) if "\\" in s else s
 
 
+def _split_quoted(line: str) -> tuple[str, dict] | None:
+    """(kind, pairs) of a line that has quotes but no ``\\``, ``#`` or tab,
+    read from its split on ``"``: words one space apart, each string opened
+    right after a ``key=`` or continued by a lone ``,``, at most one space
+    after a closing quote.  None for any other shape or a duplicate key: the
+    scan then reads the line or reports where it goes wrong."""
+    parts = line.split('"')
+    kind, blank, outside = parts[0].partition(" ")
+    if not blank or not len(parts) % 2:
+        return None
+    kv = {}
+    pairs = 0
+    i = 1  # parts[i] is the next string; parts[i - 1] is outside before it
+    while True:
+        if not outside:
+            if i < len(parts):
+                return None
+            break
+        words = outside.split(" ")
+        if i < len(parts):
+            key, eq, rest = words.pop().partition("=")
+            if not eq or rest:
+                return None
+        for word in words:
+            k, eq, value = word.partition("=")
+            if not eq:
+                return None
+            kv[k] = value
+        pairs += len(words)
+        if i == len(parts):
+            break
+        strings = [parts[i]]
+        while parts[i + 1] == "," and i + 2 < len(parts):
+            i += 2
+            strings.append(parts[i])
+        kv[key] = strings
+        pairs += 1
+        outside = parts[i + 1]
+        i += 2
+        if outside[:1] == ",":
+            return None
+        if outside[:1] == " ":
+            outside = outside[1:]
+    return (kind, kv) if len(kv) == pairs else None
+
+
 def _tokenize(line: str, no: int) -> tuple[str, dict] | None:
     """(kind, {key: bare value or list of strings}), or None for a blank or
     comment line."""
     words = line.split(" ")
     kind = words[0]
-    if kind and '"' not in line and "#" not in line and "\t" not in line:
-        # bare words one space apart, the most common line: split, no scan
-        kv = {}
-        for word in words[1:]:
-            key, eq, value = word.partition("=")
-            if not eq:
-                break  # not a pair: the scan below reports where
-            kv[key] = value
+    if kind and "#" not in line and "\t" not in line:
+        if '"' in line:
+            token = None if "\\" in line else _split_quoted(line)
+            if token is not None:
+                return token
         else:
-            if len(kv) != len(words) - 1:
-                raise ParseError("duplicate key", no)
-            return kind, kv
+            # bare words one space apart, the most common line: split, no scan
+            kv = {}
+            for word in words[1:]:
+                key, eq, value = word.partition("=")
+                if not eq:
+                    break  # not a pair: the scan below reports where
+                kv[key] = value
+            else:
+                if len(kv) != len(words) - 1:
+                    raise ParseError("duplicate key", no)
+                return kind, kv
     body = line.lstrip(" \t")
     if not body or body[0] == "#":
         return None

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -279,3 +284,134 @@ def test_collect_violations_reports_dangling_reference():
     del scheme.points[1]
     lines = cli.collect_violations(scheme)
     assert any(line.startswith("dangling-ref ") for line in lines)
+
+
+@pytest.mark.parametrize("argv, joined", [
+    (["render", "ref.asts", "--slice", "-2000:-100", "-o", "{out}.svg"],
+     ["render", "ref.asts", "--slice=-2000:-100", "-o", "{out}.svg"]),
+    (["render", "ref.asts", "--slice", "-100:2000", "-o", "{out}.svg"],
+     ["render", "ref.asts", "--slice=-100:2000", "-o", "{out}.svg"]),
+    (["render", "ref.asts", "--sl", "-100:2000", "-o", "{out}.svg"],
+     ["render", "ref.asts", "--slice=-100:2000", "-o", "{out}.svg"]),
+    (["spec", "ref.asts", "--temperature", "-1e3", "--pressure", "-.5", "-o", "{out}.tsv"],
+     ["spec", "ref.asts", "--temperature=-1e3", "--pressure=-.5", "-o", "{out}.tsv"]),
+])
+def test_a_negative_value_may_follow_its_option_after_a_blank(argv, joined, ref_file,
+                                                              monkeypatch):
+    monkeypatch.chdir(ref_file.parent)
+    for words, out in ((argv, "spaced"), (joined, "joined")):
+        assert main([w.format(out=out) for w in words]) == 0
+    suffix = Path(argv[-1]).suffix
+    spaced = (ref_file.parent / f"spaced{suffix}").read_bytes()
+    assert spaced == (ref_file.parent / f"joined{suffix}").read_bytes()
+    if suffix == ".tsv":
+        assert b"# work_temperature=-1000" in spaced
+
+
+def test_a_value_that_starts_with_a_dash_may_name_the_output(ref_file, monkeypatch):
+    monkeypatch.chdir(ref_file.parent)
+    assert main(["convert", "ref.asts", "-o", "-ref.astsb"]) == 0
+    assert (ref_file.parent / "-ref.astsb").read_bytes() == persist.save_binary(
+        samples.reference_scheme())
+
+
+@pytest.mark.parametrize("argv", [["--slice", "--hide", "texts"], ["--slice", "-h"],
+                                  ["--slice", "--", "0:1"], ["--slice"]])
+def test_an_option_is_not_taken_for_a_value(argv, ref_file, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["render", str(ref_file), *argv])
+    assert exit_.value.code == 2
+    assert "argument --slice: expected one argument" in capsys.readouterr().err
+
+
+# One call of each kind, with an argument error and --help, in a directory
+# that holds ref.asts; paths are relative, so outputs do not name the directory.
+SESSION = [
+    ["validate", "ref.asts"],
+    ["render", "ref.asts", "-o", "ref.svg", "--projection", "isometric"],
+    ["render", "ref.asts", "--slice", "-100:2000", "--hide", "texts"],
+    ["spec", "ref.asts", "--mode", "six", "-o", "six.tsv"],
+    ["spec", "ref.asts", "--mode", "extended"],
+    ["convert", "ref.asts", "-o", "ref.astsb"],
+    ["convert", "ref.astsb", "-o", "back.asts"],
+    ["stats", "ref.asts"],
+    ["projections"],
+    ["render", "ref.asts", "--slice"],
+    ["validate", "missing.asts"],
+    ["--help"],
+]
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_in_subprocess(argv, cwd, env):
+    done = subprocess.run([sys.executable, "-m", "axoscheme.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+def session_dir(parent: Path, name: str) -> Path:
+    d = parent / name
+    d.mkdir()
+    (d / "ref.asts").write_text(persist.save_text(samples.reference_scheme()),
+                                encoding="utf-8")
+    return d
+
+
+def written(d: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The names of the parsers built while the test runs, from an empty
+    parser cache; the cache is emptied again after it."""
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli.build_parser.cache_clear()
+    yield built
+    cli.build_parser.cache_clear()
+
+
+def test_repeated_calls_build_the_parser_once_and_repeat_their_outputs(
+        parser_builds, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help and usage wrap at the same width
+    rounds = []
+    for name in ("first", "second"):
+        d = session_dir(tmp_path, name)
+        monkeypatch.chdir(d)
+        rounds.append(([run_in_process(argv) for argv in SESSION], written(d)))
+    assert parser_builds == ["axoscheme"] + [
+        f"axoscheme {command}"
+        for command in ("validate", "render", "spec", "convert", "projections", "stats")]
+    assert rounds[0] == rounds[1]
+
+    results, files = rounds[0]
+    assert [code for code, _, _ in results] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 4, 0]
+    assert {"ref.svg", "six.tsv", "ref.astsb", "back.asts"} <= set(files)
+    d = session_dir(tmp_path, "fresh")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONIOENCODING="utf-8")
+    assert [run_in_subprocess(argv, d, env) for argv in SESSION] == results
+    assert written(d) == files
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import axoscheme.cli as cli, sys; "
+            "sys.exit(cli.build_parser.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

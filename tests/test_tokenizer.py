@@ -1,8 +1,9 @@
 """The text loader's line tokenizer against ``oracles.oracle_tokenize``.
 
-Bare lines are split without a regex and every other line is scanned with
-one; both must give what the two-regex tokenizer gave: the same kind and
-pairs, or the same ``ParseError`` message and line number.
+Bare lines are split without a regex, quoted lines of the usual shape are
+split on their quotes, and every other line is scanned with one regex; each
+must give what the two-regex tokenizer gave: the same kind and pairs, or the
+same ``ParseError`` message and line number.
 """
 
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from axoscheme import samples
 from axoscheme.persist import ParseError, save_text
-from axoscheme.persist.text import _tokenize
+from axoscheme.persist.text import _split_quoted, _tokenize
 from genschemes import random_scheme
 from oracles import oracle_tokenize
 from samples_for_tests import build_offset_scheme, build_rich_scheme
@@ -54,6 +55,26 @@ def test_tokenizer_matches_the_oracle_on_drawn_pairs(pairs):
     assert_same("point" + "".join(map("".join, pairs)))
 
 
+# strings: empty, with blanks, ``=`` and ``,`` inside, and beyond ASCII;
+# joined into lists by ``,``
+QUOTED = st.lists(st.sampled_from(["", "a", "a b", "x=1", "=", " ", ",", "a,b", "ж", "\r"]),
+                  min_size=1, max_size=3).map(lambda strings: ",".join(f'"{s}"' for s in strings))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.sampled_from(["text", "set.font", "a=b", 'te"xt']),
+       st.lists(st.tuples(st.sampled_from([" ", " ", "", "  "]),  # "" puts a key right after a closing quote
+                          st.sampled_from(["k", "key", "", "x", 'k"']),
+                          st.sampled_from(["=", "=", "==", ""]),
+                          st.one_of(QUOTED, st.sampled_from(["1", "", "a=b", 'x"'])),
+                          # a trailing comma, an unbalanced quote
+                          st.sampled_from(["", "", ",", '"', ", "])),
+                max_size=5),
+       st.sampled_from(["", " ", ",", '"']))
+def test_tokenizer_matches_the_oracle_on_quoted_lines(kind, pairs, tail):
+    assert_same(kind + "".join(map("".join, pairs)) + tail)
+
+
 def test_tokenizer_matches_the_oracle_on_saved_documents():
     schemes = [random_scheme(seed) for seed in range(200)]
     schemes += [samples.reference_scheme(), build_rich_scheme(), build_offset_scheme()]
@@ -62,6 +83,8 @@ def test_tokenizer_matches_the_oracle_on_saved_documents():
     for text in texts:
         for no, line in enumerate(text.split("\n"), start=1):
             assert_same(line, no)
+            if '"' in line and not {"\\", "#", "\t"} & set(line):
+                assert _split_quoted(line) is not None, line  # not left to the scan
 
 
 def test_tokenizer_cases():
@@ -69,5 +92,9 @@ def test_tokenizer_cases():
                  "point x", "point =1", "point x==1", "point x=1 x=2", "point x=a#b",
                  "point x=1 #c", 'point x="a"y=2', 'point x="a" "b"', 'point x="a",b',
                  'point x="a\\"b"', 'point x="\\\\"', "point\x0bx=1", "point x=\xa01",
-                 "point x=1\r", "a=b", "#point x=1"]:
+                 "point x=1\r", "a=b", "#point x=1", 'point x=""', 'point x="a","" y=1',
+                 'point x="a=b c"', 'point x="a" ', 'point x="a"  y=1', 'point x="a",',
+                 'point x="a",y=1', 'point x="a" "b"', 'point x="a""b"', 'point x="a", "b"',
+                 'point x="a', 'point x="a" x="b"', 'point x=a"b y="c"', 'point "a"',
+                 'point x= "a"']:
         assert_same(line)
